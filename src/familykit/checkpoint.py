@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IntegrityError
-from .model import (BLOCK_MATRICES, BLOCK_NORMS, BlockWeights, ExitHead, Factored,
-                    FamilialModel, FamilyConfig, Weight, named_parameters)
+from .model import (LINEAR_SLOTS, Factored, FamilialModel, FamilyConfig, blank_model,
+                    named_parameters, weight_slots)
 from .tensor import Tensor
 
 FORMAT_VERSION = 1
@@ -93,85 +94,101 @@ def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
     return path
 
 
-def _read_entries(table: list[dict], blob: bytes) -> dict[str, np.ndarray]:
-    out = {}
-    for entry in table:
-        if entry.get("dtype") != "f32":
-            raise IntegrityError(f"unsupported dtype {entry.get('dtype')!r} for {entry['name']}")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count,
-                            offset=entry["byte_offset"]).copy()
-        out[entry["name"]] = arr.reshape(entry["shape"])
-    return out
+def _field(doc, key: str, kind: type):
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise IntegrityError(f"checkpoint manifest: {key!r} is missing or malformed")
+    return value
 
 
-def _require(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
-    if name not in arrays:
-        raise IntegrityError(f"checkpoint is missing parameter {name!r}")
-    return arrays[name]
+def _read_blob(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise IntegrityError(f"cannot read {path}: {exc}") from exc
 
 
-def _weight_from(arrays: dict[str, np.ndarray], trainable: dict[str, bool],
-                 base: str) -> Weight:
-    if base in arrays:
-        return Tensor(arrays[base], requires_grad=trainable[base])
-    if f"{base}.A" in arrays and f"{base}.B" in arrays:
-        return Factored(
-            b=Tensor(arrays[f"{base}.B"], requires_grad=trainable[f"{base}.B"]),
-            a=Tensor(arrays[f"{base}.A"], requires_grad=trainable[f"{base}.A"]),
-        )
-    raise IntegrityError(f"checkpoint is missing parameter {base!r}")
-
-
-def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnapshot | None]:
-    path = Path(path)
+def _read_manifest(path: Path) -> dict:
     manifest_path = path / MANIFEST
     if not manifest_path.exists():
         raise IntegrityError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    version = manifest.get("format_version")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise IntegrityError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise IntegrityError(f"unsupported checkpoint format_version {version!r}")
+    for key, kind in (("seed", int), ("config", dict), ("params", list)):
+        _field(manifest, key, kind)
+    return manifest
+
+
+def _read_array(blob: bytes, entry: dict, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The array a table entry describes, checked against the blob and, when
+    given, against the shape the config implies for it."""
+    name = _field(entry, "name", str)
+    found = tuple(_field(entry, "shape", list))
+    offset, length = _field(entry, "byte_offset", int), _field(entry, "byte_length", int)
+    if _field(entry, "dtype", str) != "f32":
+        raise IntegrityError(f"unsupported dtype {entry['dtype']!r} for {name}")
+    if not all(isinstance(s, int) and s >= 0 for s in found):
+        raise IntegrityError(f"{name}: malformed shape {list(found)}")
+    if shape is not None and found != tuple(shape):
+        raise IntegrityError(f"{name} has shape {list(found)}; the config implies {list(shape)}")
+    count = math.prod(found)
+    if length != 4 * count or offset < 0 or offset + length > len(blob):
+        raise IntegrityError(f"{name}: {length} bytes at offset {offset} do not hold "
+                             f"{count} float32 values inside a {len(blob)}-byte blob")
+    return np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(found).copy()
+
+
+def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnapshot | None]:
+    """Model, seed and optimizer state of a checkpoint directory.
+
+    The model is built in the config's shape and each slot is filled from
+    the manifest entry of the same name, so every entry is checked against
+    the shape the config implies; a linear slot may instead hold a factor
+    pair `{name}.B` (in, r) and `{name}.A` (r, out).
+    """
+    path = Path(path)
+    manifest = _read_manifest(path)
     config = FamilyConfig.from_dict(manifest["config"])
-    blob = (path / WEIGHTS).read_bytes()
-    arrays = _read_entries(manifest["params"], blob)
-    trainable = {e["name"]: bool(e.get("trainable", True)) for e in manifest["params"]}
+    blob = _read_blob(path / WEIGHTS)
+    entries = {_field(e, "name", str): e for e in manifest["params"]}
 
-    def block_from(prefix: str) -> BlockWeights:
-        kwargs = {m: _weight_from(arrays, trainable, f"{prefix}.{m}") for m in BLOCK_MATRICES}
-        for m in BLOCK_NORMS:
-            kwargs[m] = Tensor(_require(arrays, f"{prefix}.{m}"),
-                               requires_grad=trainable[f"{prefix}.{m}"])
-        return BlockWeights(**kwargs)
+    def param(name: str, shape: tuple[int, ...] | None = None) -> Tensor:
+        if name not in entries:
+            raise IntegrityError(f"checkpoint is missing parameter {name!r}")
+        entry = entries[name]
+        return Tensor(_read_array(blob, entry, shape),
+                      requires_grad=bool(entry.get("trainable", True)))
 
-    backbone = [block_from(f"backbone.{i}") for i in range(config.n_layers)]
-    exits = []
-    for k in range(config.n_branches):
-        blocks = [block_from(f"exits.{k}.blocks.{j}") for j in range(config.branch_blocks[k])]
-        exits.append(ExitHead(
-            blocks=blocks,
-            final_norm=Tensor(_require(arrays, f"exits.{k}.final_norm"),
-                              requires_grad=trainable[f"exits.{k}.final_norm"]),
-            lm_proj=_weight_from(arrays, trainable, f"exits.{k}.lm_proj"),
-        ))
-    model = FamilialModel(
-        config=config,
-        embedding=Tensor(_require(arrays, "embedding"),
-                         requires_grad=trainable["embedding"]),
-        backbone=backbone,
-        exits=exits,
-    )
-    model.freeze_mask = {name: not trainable[name] for name, _ in named_parameters(model)}
-    missing = set(arrays) - {name for name, _ in named_parameters(model)}
+    model = blank_model(config)
+    for name, owner, attr in weight_slots(model):
+        shape = getattr(owner, attr).shape
+        if attr in LINEAR_SLOTS and name not in entries and f"{name}.B" in entries:
+            w = Factored(b=param(f"{name}.B"), a=param(f"{name}.A"))
+            if len(w.b.shape) != 2 or w.b.shape[0] != shape[0] or \
+                    w.a.shape != (w.b.shape[1], shape[1]):
+                raise IntegrityError(
+                    f"{name} factors have shapes {list(w.b.shape)} and {list(w.a.shape)}; "
+                    f"the config implies [{shape[0]}, r] and [r, {shape[1]}]")
+        else:
+            w = param(name, shape)
+        setattr(owner, attr, w)
+    model.freeze_mask = {name: not p.requires_grad for name, p in named_parameters(model)}
+    missing = set(entries) - set(model.freeze_mask)
     if missing:
         raise IntegrityError(f"checkpoint has parameters the config cannot place: {sorted(missing)}")
 
     optimizer = None
     if "optimizer" in manifest:
-        oblob = (path / OPTIM).read_bytes()
-        oarrays = _read_entries(manifest["optimizer"]["entries"], oblob)
-        optimizer = OptimizerSnapshot(step=int(manifest["optimizer"]["step"]))
-        for name, arr in oarrays.items():
-            pname, kind = name.rsplit("::", 1)
-            (optimizer.moments_m if kind == "m" else optimizer.moments_v)[pname] = arr
+        section = manifest["optimizer"]
+        optimizer = OptimizerSnapshot(step=_field(section, "step", int))
+        oblob = _read_blob(path / OPTIM)
+        for entry in _field(section, "entries", list):
+            pname, _, kind = _field(entry, "name", str).rpartition("::")
+            moments = optimizer.moments_m if kind == "m" else optimizer.moments_v
+            moments[pname] = _read_array(oblob, entry)
     return model, int(manifest["seed"]), optimizer

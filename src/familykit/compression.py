@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
 from .linalg import cholesky_array, invert_lower_triangular, svd_array
-from .model import (Factored, FamilialModel, forward_all_branches, get_weight_slot,
-                    named_parameters, param_count, set_weight_slot)
+from .model import (Factored, FamilialModel, copy_model, forward_all_branches,
+                    get_weight_slot, named_parameters, param_count, set_weight_slot)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -336,8 +336,7 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
 def apply_compression(model: FamilialModel, plan: CompressionPlan) -> FamilialModel:
     """Replace each planned matrix with its factored pair on a copy of the
     model; every parameter outside the plan is untouched bit for bit."""
-    from .expansion import _copy_model
-    compressed = _copy_model(model)
+    compressed = copy_model(model)
     for entry in plan.entries:
         try:
             slot = get_weight_slot(compressed, entry.name)

@@ -10,18 +10,18 @@ either freshly Gaussian ("randomized") or copied from an existing layer
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import ByteTokenizer
-from .errors import ConfigError, IntegrityError
-from .model import (BLOCK_MATRICES, BLOCK_NORMS, CallCounter, ExitHead, FamilialModel,
-                    FamilyConfig, block_forward, copy_block, embedding, head_forward,
-                    init_block, named_parameters, param_count, set_freeze)
+from .errors import ConfigError
+from .model import (BLOCK_MATRICES, BLOCK_NORMS, FamilialModel, FamilyConfig, copy_model,
+                    forward_branch, forward_exits, init_block, param_count, set_freeze)
 from .rng import SplitRng
-from .tensor import Tensor, causal_mask, rope_tables
+from .tensor import Tensor
 from .training import (LambdaSchedule, TrainConfig, TrainState, run_training)
 
 log = logging.getLogger(__name__)
@@ -64,27 +64,13 @@ class ExpansionReport:
                 "frozen_count": self.frozen_count}
 
 
-def _copy_model(model: FamilialModel) -> FamilialModel:
-    from .model import _copy_weight  # structured copy, keeps Factored slots
-    clone = FamilialModel(
-        config=model.config,
-        embedding=_copy_weight(model.embedding),
-        backbone=[copy_block(b) for b in model.backbone],
-        exits=[ExitHead(blocks=[copy_block(b) for b in h.blocks],
-                        final_norm=_copy_weight(h.final_norm),
-                        lm_proj=_copy_weight(h.lm_proj)) for h in model.exits],
-    )
-    clone.freeze_mask = dict(model.freeze_mask)
-    return clone
-
-
 def _new_block(cfg: FamilyConfig, model: FamilialModel, spec: ExpansionSpec, index: int):
     rng = SplitRng(spec.seed).split(f"expand/block/{index}")
     if spec.init_mode == "clone":
         if not 0 <= spec.clone_source < cfg.n_layers:
             raise ConfigError(f"clone_source {spec.clone_source} outside backbone "
                               f"[0, {cfg.n_layers})")
-        block = copy_block(model.backbone[spec.clone_source])
+        block = copy.deepcopy(model.backbone[spec.clone_source])
     else:
         block = init_block(cfg, rng, f"new.{index}", std=spec.gaussian_std)
     # zero-residual constraint: the block's two output projections start at
@@ -103,7 +89,7 @@ def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, Ex
     cfg = model.config
     if not 0 <= spec.target_branch < cfg.n_branches:
         raise ConfigError(f"target_branch {spec.target_branch} out of range")
-    expanded = _copy_model(model)
+    expanded = copy_model(model)
     head = expanded.exits[spec.target_branch]
     before = param_count(expanded)["total"]
     for i in range(spec.n_new_blocks):
@@ -137,7 +123,6 @@ def verify_identity(base_model: FamilialModel, expanded_model: FamilialModel,
     Must be exactly 0.0 before any training step: the zeroed projections
     make each new block's output exactly zero even in binary32.
     """
-    from .model import forward_branch
     if base_model.config.vocab != expanded_model.config.vocab:
         raise ConfigError("models have different vocabularies")
     if branch is None:  # infer the expanded branch from the block counts
@@ -186,24 +171,15 @@ def layer_cosine_similarity(model: FamilialModel, text_tokens: np.ndarray,
         tokens = tokens[None, :]
     if tokens.size == 0:
         raise ConfigError("text must be nonempty")
-    t = tokens.shape[1]
-    cos_t, sin_t = rope_tables(np.arange(t), cfg.head_dim, cfg.rope_base)
-    allowed = causal_mask(t, t)
-    h = embedding(model.embedding, tokens)
-    blocks = list(model.backbone[:cfg.exit_depths[branch]])
-    labels = [f"backbone.{i}" for i in range(cfg.exit_depths[branch])]
-    head = model.exits[branch]
-    blocks += head.blocks
-    labels += [f"exits.{branch}.blocks.{j}" for j in range(len(head.blocks))]
+    cosines: list[tuple[str, np.ndarray, bool]] = []
 
-    scores = np.zeros((len(blocks), t))
-    degenerate = False
-    for i, block in enumerate(blocks):
-        h_in = h.data[0]
-        h = block_forward(block, h, cfg, cos_t, sin_t, allowed)
-        row, bad = token_cosines(h_in, h.data[0])
-        scores[i] = row
-        degenerate = degenerate or bad
+    def record(name: str, h_in: Tensor, h_out: Tensor) -> None:
+        cosines.append((name, *token_cosines(h_in.data[0], h_out.data[0])))
+
+    forward_exits(model, tokens, [branch], on_block=record)
+    labels = [name for name, _, _ in cosines]
+    scores = np.array([row for _, row, _ in cosines]).reshape(len(cosines), tokens.shape[1])
+    degenerate = any(bad for _, _, bad in cosines)
     if degenerate:
         log.warning("zero-norm hidden state encountered; cosine set to 0")
     return scores, labels, degenerate

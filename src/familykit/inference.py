@@ -8,25 +8,27 @@ deeper layers for its position are skipped; under the default "lazy"
 policy their KV entries are backfilled only when a later token actually
 climbs that deep ("always" backfills immediately after each emission).
 
-The incremental math mirrors the graph forward kernel for kernel and
-layout for layout, so cached logits are bit-identical to a full-prefix
-forward of the same depth.
+Each block step is the model's own `block_forward` run over the raw
+kernels of `familykit.kernels`, with a hook that writes the step's keys
+and values into the cache and attends over the cached prefix. The
+row-stable kernels make a row's result independent of how many rows run
+with it, so cached logits are bit-identical to a full-prefix forward of
+the same depth.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .data import EOS
 from .errors import ConfigError, InputError
-from .model import (BlockWeights, Factored, FamilialModel, FamilyConfig, Weight)
+from .model import BlockWeights, FamilialModel, FamilyConfig, block_forward, head_logits
 from .rng import SplitRng
-from .tensor import (k_masked_softmax, k_matmul, k_repeat_heads, k_rmsnorm, k_rope,
-                     k_silu, k_softmax, rope_tables)
+from .tensor import causal_mask, k_softmax, rope_tables
 
 
 @dataclass(frozen=True)
@@ -97,21 +99,6 @@ def exit_histogram(trace: GenerationTrace) -> tuple[dict[int, int], float]:
     return counts, mean
 
 
-def _lin(x: np.ndarray, w: Weight) -> np.ndarray:
-    if isinstance(w, Factored):
-        return k_matmul(k_matmul(x, w.b.data), w.a.data)
-    return k_matmul(x, w.data)
-
-
-class _Stream:
-    """KV caches and per-position state for one stack of blocks."""
-
-    def __init__(self, cfg: FamilyConfig, n_blocks: int):
-        shape = (1, cfg.kv_heads, cfg.ctx_len, cfg.head_dim)
-        self.k = [np.zeros(shape, np.float32) for _ in range(n_blocks)]
-        self.v = [np.zeros(shape, np.float32) for _ in range(n_blocks)]
-
-
 class GenState:
     """Decode-time state over a frozen model; one generation stream."""
 
@@ -122,14 +109,12 @@ class GenState:
         self.depth = np.zeros(cfg.ctx_len, np.int64)
         self.hidden = np.zeros((cfg.ctx_len, cfg.hidden), np.float32)
         self.n_positions = 0
-        self.backbone = _Stream(cfg, cfg.n_layers)
-        self.branch = {k: _Stream(cfg, len(model.exits[k].blocks)) for k in exits}
         self.branch_frontier = {k: 0 for k in exits}
         self.branch_out = {k: np.zeros((cfg.ctx_len, cfg.hidden), np.float32) for k in exits}
         self.tapped = {k: np.zeros((cfg.ctx_len, cfg.hidden), np.float32)
                        for k in range(cfg.n_branches)}
+        self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # block key -> (K, V)
         self.exec_count: dict[tuple, int] = {}
-        self.token_execs = 0
 
     # -- position ingestion --------------------------------------------------
 
@@ -147,47 +132,30 @@ class GenState:
 
     # -- core block step on a contiguous row range ---------------------------
 
-    def _block_rows(self, block: BlockWeights, rows: np.ndarray, start: int, stop: int,
-                    kv_len: int, stream: _Stream, idx: int, key: tuple) -> np.ndarray:
-        """Mirror of the training block forward on rows [start, stop) whose
-        keys span cache[0:kv_len]; returns the updated residual rows."""
+    def _block_rows(self, block: BlockWeights, rows: np.ndarray, start: int,
+                    key: tuple, name: str) -> np.ndarray:
+        """Run one block on the residual rows of positions [start, stop),
+        attending over its cached keys and values of positions [0, stop);
+        returns the updated rows."""
         cfg = self.cfg
-        n = stop - start
-        dh, hq, hkv = cfg.head_dim, cfg.q_heads, cfg.kv_heads
+        stop = start + len(rows)
         for p in range(start, stop):
             self.exec_count[key + (p,)] = self.exec_count.get(key + (p,), 0) + 1
-            self.token_execs += 1
+        if key not in self.cache:
+            shape = (1, cfg.kv_heads, cfg.ctx_len, cfg.head_dim)
+            self.cache[key] = (np.zeros(shape, np.float32), np.zeros(shape, np.float32))
+        keys, values = self.cache[key]
 
-        h = rows[None]  # (1, n, hidden)
-        a = k_rmsnorm(h, block.attn_norm.data, cfg.rms_eps)
-        q = _lin(a, block.w_q)
-        k_new = _lin(a, block.w_k)
-        v_new = _lin(a, block.w_v)
-        q = np.ascontiguousarray(q.reshape(1, n, hq, dh).transpose(0, 2, 1, 3))
-        k_new = np.ascontiguousarray(k_new.reshape(1, n, hkv, dh).transpose(0, 2, 1, 3))
-        v_new = np.ascontiguousarray(v_new.reshape(1, n, hkv, dh).transpose(0, 2, 1, 3))
-        positions = np.arange(start, stop)
-        cos, sin = rope_tables(positions, dh, cfg.rope_base)
-        q = k_rope(q, cos, sin)
-        k_new = k_rope(k_new, cos, sin)
-        stream.k[idx][0, :, start:stop] = k_new[0]
-        stream.v[idx][0, :, start:stop] = v_new[0]
+        def kv(k: np.ndarray, v: np.ndarray):
+            keys[:, :, start:stop] = k
+            values[:, :, start:stop] = v
+            return keys[:, :, :stop], values[:, :, :stop]
 
-        keys = k_repeat_heads(stream.k[idx][:, :, :kv_len], hq // hkv)
-        vals = k_repeat_heads(stream.v[idx][:, :, :kv_len], hq // hkv)
-        scores = k_matmul(q, np.ascontiguousarray(keys.transpose(0, 1, 3, 2)))
-        scores = scores * np.asarray(1.0 / math.sqrt(dh), np.float32)
-        allowed = np.arange(kv_len)[None, :] <= positions[:, None]
-        probs = k_masked_softmax(scores, np.broadcast_to(allowed[None, None], scores.shape))
-        ctx = k_matmul(probs, vals)
-        merged = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(1, n, cfg.hidden)
-        h = h + _lin(merged, block.w_o)
-
-        m = k_rmsnorm(h, block.mlp_norm.data, cfg.rms_eps)
-        gate = k_silu(_lin(m, block.w_gate))
-        up = _lin(m, block.w_up)
-        h = h + _lin(gate * up, block.w_down)
-        return h[0]
+        cos, sin = rope_tables(np.arange(start, stop), cfg.head_dim, cfg.rope_base)
+        out = block_forward(block, rows[None], cfg, cos, sin,
+                            causal_mask(stop - start, stop, offset=start),
+                            name=name, ops=kernels, kv=kv)
+        return out[0]
 
     # -- backbone / branch advancement ---------------------------------------
 
@@ -204,10 +172,8 @@ class GenState:
                 start -= 1
             if start > pos:
                 continue  # everyone already past this layer
-            rows = self.hidden[start:pos + 1]
-            out = self._block_rows(self.model.backbone[li], rows, start, pos + 1,
-                                   kv_len=pos + 1, stream=self.backbone, idx=li,
-                                   key=("backbone", li))
+            out = self._block_rows(self.model.backbone[li], self.hidden[start:pos + 1],
+                                   start, key=("backbone", li), name=f"backbone.{li}")
             self.hidden[start:pos + 1] = out
             self.depth[start:pos + 1] = li + 1
             for k, d in enumerate(self.cfg.exit_depths):
@@ -222,9 +188,8 @@ class GenState:
         rows = self.tapped[branch][start:pos + 1].copy()
         head = self.model.exits[branch]
         for j, block in enumerate(head.blocks):
-            rows = self._block_rows(block, rows, start, pos + 1, kv_len=pos + 1,
-                                    stream=self.branch[branch], idx=j,
-                                    key=("branch", branch, j))
+            rows = self._block_rows(block, rows, start, key=("branch", branch, j),
+                                    name=f"exits.{branch}.blocks.{j}")
         self.branch_out[branch][start:pos + 1] = rows
         self.branch_frontier[branch] = pos + 1
 
@@ -232,10 +197,9 @@ class GenState:
         """Vocabulary row for `branch` at position `pos` (advancing lazily)."""
         self.advance_backbone(pos, self.cfg.exit_depths[branch])
         self.ensure_branch(branch, pos)
-        head = self.model.exits[branch]
         h = self.branch_out[branch][pos][None, None]  # (1, 1, hidden)
-        h = k_rmsnorm(h, head.final_norm.data, self.cfg.rms_eps)
-        return _lin(h, head.lm_proj)[0, 0]
+        return head_logits(self.model.exits[branch], h, self.cfg, branch,
+                           ops=kernels)[0, 0]
 
 
 def _decode_token(logits: np.ndarray, policy: ExitPolicy, rng: SplitRng | None) -> int:
@@ -272,7 +236,6 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
 
     for step in range(max_new):
         query = state.n_positions - 1
-        state.token_execs = 0
         confidences: list[float] = []
         chosen = exits[-1]
         logits = None

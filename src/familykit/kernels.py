@@ -1,0 +1,31 @@
+"""Raw-array versions of the block ops of `familykit.tensor`, same names.
+
+The compute ops are the very `k_*` kernels that the autodiff ops wrap;
+`param`, `reshape` and `transpose` give the values and memory layout of
+their autodiff namesakes without recording a graph. Cached decoding runs
+`model.block_forward` over this module, training and evaluation over
+`tensor`, so the two paths agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .tensor import (Tensor, k_masked_softmax as masked_softmax, k_matmul as matmul,
+                     k_repeat_heads as repeat_heads, k_rmsnorm as rmsnorm, k_rope as rope,
+                     k_silu as silu)
+
+Array = np.ndarray
+
+
+def param(p: Tensor) -> Array:
+    """A parameter as an operand of these ops: its array."""
+    return p.data
+
+
+def reshape(a: Array, shape) -> Array:
+    return a.reshape(shape)
+
+
+def transpose(a: Array, axes) -> Array:
+    return np.ascontiguousarray(a.transpose(axes))

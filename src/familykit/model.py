@@ -5,21 +5,28 @@ the residual stream after backbone layer `exit_depths[k]`, runs its own
 branch blocks, and projects to the vocabulary through an untied head.
 Sub-models at different exits are therefore nested prefixes of one
 parameter store, never copies.
+
+`weight_slots` is the one walk of that store. `block_forward` is the one
+statement of the block math, over an op module the caller picks: training
+and evaluation pass the autodiff ops of `tensor`, cached decoding the raw
+kernels of `kernels` that those ops wrap, so both compute the same values
+bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence, Union
+from types import ModuleType
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
+from . import tensor
 from .errors import ConfigError, InputError
 from .rng import SplitRng
-from .tensor import (Tensor, add, causal_mask, embedding, masked_softmax, matmul, mul,
-                     repeat_heads, reshape, rmsnorm, rope, rope_tables, scale, silu,
-                     transpose)
+from .tensor import Tensor, causal_mask, embedding, rope_tables
 
 INIT_STD = 0.02
 
@@ -182,8 +189,13 @@ class CallCounter:
 # construction
 # ---------------------------------------------------------------------------
 
-def _gaussian_tensor(rng: SplitRng, label: str, shape, std: float = INIT_STD) -> Tensor:
-    return Tensor(rng.split(label).gaussian(shape, std=std), requires_grad=True)
+def _matrix(rng: SplitRng | None, label: str, shape, std: float) -> Tensor:
+    data = np.zeros(shape, np.float32) if rng is None else rng.split(label).gaussian(shape, std=std)
+    return Tensor(data, requires_grad=True)
+
+
+def _gain(cfg: FamilyConfig) -> Tensor:
+    return Tensor(np.ones(cfg.hidden, np.float32), requires_grad=True)
 
 
 def _block_shapes(cfg: FamilyConfig) -> dict[str, tuple[int, int]]:
@@ -194,109 +206,97 @@ def _block_shapes(cfg: FamilyConfig) -> dict[str, tuple[int, int]]:
             "w_gate": (h, m), "w_up": (h, m), "w_down": (m, h)}
 
 
-def init_block(cfg: FamilyConfig, rng: SplitRng, label: str,
+def init_block(cfg: FamilyConfig, rng: SplitRng | None, label: str,
                std: float = INIT_STD) -> BlockWeights:
+    """Gaussian projections (all zero when `rng` is None), unit norm gains."""
     shapes = _block_shapes(cfg)
-    mats = {m: _gaussian_tensor(rng, f"{label}.{m}", shapes[m], std) for m in BLOCK_MATRICES}
-    return BlockWeights(**mats,
-                        attn_norm=Tensor(np.ones(cfg.hidden, np.float32), requires_grad=True),
-                        mlp_norm=Tensor(np.ones(cfg.hidden, np.float32), requires_grad=True))
+    mats = {m: _matrix(rng, f"{label}.{m}", shapes[m], std) for m in BLOCK_MATRICES}
+    return BlockWeights(**mats, attn_norm=_gain(cfg), mlp_norm=_gain(cfg))
 
 
-def copy_block(block: BlockWeights) -> BlockWeights:
-    return BlockWeights(**{name: _copy_weight(getattr(block, name))
-                           for name in BLOCK_MATRICES + BLOCK_NORMS})
-
-
-def _copy_weight(w: Weight) -> Weight:
-    if isinstance(w, Factored):
-        return Factored(b=_copy_weight(w.b), a=_copy_weight(w.a))
-    return Tensor(w.data.copy(), requires_grad=w.requires_grad)
-
-
-def init_model(config: FamilyConfig, seed: int) -> FamilialModel:
-    """Gaussian(0, 0.02^2) projections, unit norm gains; branch block j of
-    exit k starts as a copy of backbone layer exit_depths[k] + j when that
-    layer exists, else fresh Gaussian."""
-    rng = SplitRng(seed).split("init")
-    emb = _gaussian_tensor(rng, "embedding", (config.vocab, config.hidden))
+def _build(config: FamilyConfig, rng: SplitRng | None) -> FamilialModel:
+    emb = _matrix(rng, "embedding", (config.vocab, config.hidden), INIT_STD)
     backbone = [init_block(config, rng, f"backbone.{i}") for i in range(config.n_layers)]
     exits = []
     for k, depth in enumerate(config.exit_depths):
-        blocks = []
-        for j in range(config.branch_blocks[k]):
-            src = depth + j
-            if src < config.n_layers:
-                blocks.append(copy_block(backbone[src]))
-            else:
-                blocks.append(init_block(config, rng, f"exits.{k}.blocks.{j}"))
+        blocks = [copy.deepcopy(backbone[depth + j]) if depth + j < config.n_layers
+                  else init_block(config, rng, f"exits.{k}.blocks.{j}")
+                  for j in range(config.branch_blocks[k])]
         exits.append(ExitHead(
-            blocks=blocks,
-            final_norm=Tensor(np.ones(config.hidden, np.float32), requires_grad=True),
-            lm_proj=_gaussian_tensor(rng, f"exits.{k}.lm_proj", (config.hidden, config.vocab)),
+            blocks=blocks, final_norm=_gain(config),
+            lm_proj=_matrix(rng, f"exits.{k}.lm_proj", (config.hidden, config.vocab), INIT_STD),
         ))
     model = FamilialModel(config=config, embedding=emb, backbone=backbone, exits=exits)
     model.freeze_mask = {name: False for name, _ in named_parameters(model)}
     return model
 
 
+def init_model(config: FamilyConfig, seed: int) -> FamilialModel:
+    """Gaussian(0, 0.02^2) projections, unit norm gains; branch block j of
+    exit k starts as a copy of backbone layer exit_depths[k] + j when that
+    layer exists, else fresh Gaussian."""
+    return _build(config, SplitRng(seed).split("init"))
+
+
+def blank_model(config: FamilyConfig) -> FamilialModel:
+    """A model of the config's shape with zero projections and unit gains,
+    for checkpoint loading to fill slot by slot."""
+    return _build(config, None)
+
+
 # ---------------------------------------------------------------------------
 # parameter traversal
 # ---------------------------------------------------------------------------
 
-def _weight_params(name: str, w: Weight) -> Iterator[tuple[str, Tensor]]:
-    if isinstance(w, Factored):
-        yield f"{name}.A", w.a
-        yield f"{name}.B", w.b
-    else:
-        yield name, w
+LINEAR_SLOTS = BLOCK_MATRICES + ("lm_proj",)  # slots that may hold a Factored weight
+
+
+def weight_slots(model: FamilialModel) -> Iterator[tuple[str, object, str]]:
+    """(name, owner, attribute) of every weight slot, in checkpoint order.
+
+    This is the one walk of the model's structure: parameter names, slot
+    lookup, copies, casts and checkpoint loading are all built on it.
+    """
+    def block(prefix: str, b: BlockWeights):
+        return ((f"{prefix}.{m}", b, m) for m in BLOCK_MATRICES + BLOCK_NORMS)
+
+    yield "embedding", model, "embedding"
+    for i, b in enumerate(model.backbone):
+        yield from block(f"backbone.{i}", b)
+    for k, head in enumerate(model.exits):
+        for j, b in enumerate(head.blocks):
+            yield from block(f"exits.{k}.blocks.{j}", b)
+        yield f"exits.{k}.final_norm", head, "final_norm"
+        yield f"exits.{k}.lm_proj", head, "lm_proj"
 
 
 def named_parameters(model: FamilialModel) -> list[tuple[str, Tensor]]:
-    out: list[tuple[str, Tensor]] = [("embedding", model.embedding)]
-    for i, block in enumerate(model.backbone):
-        for m in BLOCK_MATRICES:
-            out.extend(_weight_params(f"backbone.{i}.{m}", getattr(block, m)))
-        for m in BLOCK_NORMS:
-            out.append((f"backbone.{i}.{m}", getattr(block, m)))
-    for k, head in enumerate(model.exits):
-        for j, block in enumerate(head.blocks):
-            for m in BLOCK_MATRICES:
-                out.extend(_weight_params(f"exits.{k}.blocks.{j}.{m}", getattr(block, m)))
-            for m in BLOCK_NORMS:
-                out.append((f"exits.{k}.blocks.{j}.{m}", getattr(block, m)))
-        out.append((f"exits.{k}.final_norm", head.final_norm))
-        out.extend(_weight_params(f"exits.{k}.lm_proj", head.lm_proj))
+    """Every parameter by checkpoint name; a factored slot gives `{name}.A`
+    then `{name}.B`."""
+    out: list[tuple[str, Tensor]] = []
+    for name, owner, attr in weight_slots(model):
+        w = getattr(owner, attr)
+        if isinstance(w, Factored):
+            out += [(f"{name}.A", w.a), (f"{name}.B", w.b)]
+        else:
+            out.append((name, w))
     return out
 
 
-def _weight_slots(model: FamilialModel) -> list[tuple[str, object, str]]:
-    """(base name, owner object, attribute) for every matrix slot that can
-    hold either a plain or a factored weight."""
-    slots: list[tuple[str, object, str]] = []
-    for i, block in enumerate(model.backbone):
-        for m in BLOCK_MATRICES:
-            slots.append((f"backbone.{i}.{m}", block, m))
-    for k, head in enumerate(model.exits):
-        for j, block in enumerate(head.blocks):
-            for m in BLOCK_MATRICES:
-                slots.append((f"exits.{k}.blocks.{j}.{m}", block, m))
-        slots.append((f"exits.{k}.lm_proj", head, "lm_proj"))
-    return slots
+def _linear_slots(model: FamilialModel) -> dict[str, tuple[object, str]]:
+    return {name: (owner, attr) for name, owner, attr in weight_slots(model)
+            if attr in LINEAR_SLOTS}
 
 
 def get_weight_slot(model: FamilialModel, name: str) -> Weight:
-    for slot_name, owner, attr in _weight_slots(model):
-        if slot_name == name:
-            return getattr(owner, attr)
-    raise KeyError(name)
+    """The plain or factored weight of linear slot `name` (KeyError if none)."""
+    owner, attr = _linear_slots(model)[name]
+    return getattr(owner, attr)
+
 
 def set_weight_slot(model: FamilialModel, name: str, value: Weight) -> None:
-    for slot_name, owner, attr in _weight_slots(model):
-        if slot_name == name:
-            setattr(owner, attr, value)
-            return
-    raise KeyError(name)
+    owner, attr = _linear_slots(model)[name]
+    setattr(owner, attr, value)
 
 
 def param_count(model: FamilialModel) -> dict:
@@ -329,143 +329,19 @@ def set_freeze(model: FamilialModel, freeze_predicate: Callable[[str], bool]) ->
     return mask
 
 
-def trainable_names(model: FamilialModel) -> list[str]:
-    return [n for n, _ in named_parameters(model) if not model.freeze_mask.get(n, False)]
-
-
-# ---------------------------------------------------------------------------
-# forward passes
-# ---------------------------------------------------------------------------
-
-def apply_linear(x: Tensor, w: Weight, name: str | None = None,
-                 tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
-    if tap is not None and name is not None:
-        tap(name, x.data)
-    if isinstance(w, Factored):
-        return matmul(matmul(x, w.b), w.a)
-    return matmul(x, w)
-
-
-def block_forward(block: BlockWeights, h: Tensor, cfg: FamilyConfig,
-                  cos: np.ndarray, sin: np.ndarray, allowed: np.ndarray,
-                  counter: CallCounter | None = None, name: str = "",
-                  tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
-    """One pre-norm decoder block: causal GQA attention then gated MLP."""
-    if counter is not None:
-        counter.tick()
-    b, t, _ = h.data.shape
-    dh, hq, hkv = cfg.head_dim, cfg.q_heads, cfg.kv_heads
-
-    a = rmsnorm(h, block.attn_norm, cfg.rms_eps)
-    q = apply_linear(a, block.w_q, f"{name}.w_q", tap)
-    k = apply_linear(a, block.w_k, f"{name}.w_k", tap)
-    v = apply_linear(a, block.w_v, f"{name}.w_v", tap)
-    q = transpose(reshape(q, (b, t, hq, dh)), (0, 2, 1, 3))
-    k = transpose(reshape(k, (b, t, hkv, dh)), (0, 2, 1, 3))
-    v = transpose(reshape(v, (b, t, hkv, dh)), (0, 2, 1, 3))
-    q = rope(q, cos, sin)
-    k = rope(k, cos, sin)
-    k = repeat_heads(k, hq // hkv)
-    v = repeat_heads(v, hq // hkv)
-
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    probs = masked_softmax(scores, allowed[None, None])
-    ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, t, cfg.hidden))
-    h = add(h, apply_linear(ctx, block.w_o, f"{name}.w_o", tap))
-
-    m = rmsnorm(h, block.mlp_norm, cfg.rms_eps)
-    gate = silu(apply_linear(m, block.w_gate, f"{name}.w_gate", tap))
-    up = apply_linear(m, block.w_up, f"{name}.w_up", tap)
-    h = add(h, apply_linear(mul(gate, up), block.w_down, f"{name}.w_down", tap))
-    return h
-
-
-def head_forward(head: ExitHead, h: Tensor, cfg: FamilyConfig, cos: np.ndarray,
-                 sin: np.ndarray, allowed: np.ndarray, branch: int,
-                 counter: CallCounter | None = None,
-                 tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
-    for j, block in enumerate(head.blocks):
-        h = block_forward(block, h, cfg, cos, sin, allowed, counter,
-                          name=f"exits.{branch}.blocks.{j}", tap=tap)
-    h = rmsnorm(h, head.final_norm, cfg.rms_eps)
-    return apply_linear(h, head.lm_proj, f"exits.{branch}.lm_proj", tap)
-
-
-def _check_tokens(cfg: FamilyConfig, tokens: np.ndarray) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-    if tokens.shape[1] > cfg.ctx_len:
-        raise InputError(f"sequence length {tokens.shape[1]} exceeds ctx_len {cfg.ctx_len}")
-    return tokens
-
-
-def forward_branch(model: FamilialModel, tokens, branch: int,
-                   counter: CallCounter | None = None, pos_offset: int = 0,
-                   tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
-    """Logits (B, T, vocab) of one branch: backbone prefix plus its head."""
-    cfg = model.config
-    if not 0 <= branch < cfg.n_branches:
-        raise InputError(f"branch {branch} out of range")
-    tokens = _check_tokens(cfg, tokens)
-    t = tokens.shape[1]
-    cos, sin = rope_tables(np.arange(pos_offset, pos_offset + t), cfg.head_dim,
-                           cfg.rope_base, dtype=model.embedding.data.dtype)
-    allowed = causal_mask(t, t)
-    h = embedding(model.embedding, tokens)
-    for i in range(cfg.exit_depths[branch]):
-        h = block_forward(model.backbone[i], h, cfg, cos, sin, allowed, counter,
-                          name=f"backbone.{i}", tap=tap)
-    return head_forward(model.exits[branch], h, cfg, cos, sin, allowed, branch,
-                        counter, tap=tap)
-
-
-def forward_all_branches(model: FamilialModel, tokens,
-                         counter: CallCounter | None = None,
-                         tap: Callable[[str, np.ndarray], None] | None = None) -> list[Tensor]:
-    """All branch logits from exactly one backbone pass (hidden states are
-    tapped at each exit depth, never recomputed)."""
-    cfg = model.config
-    tokens = _check_tokens(cfg, tokens)
-    t = tokens.shape[1]
-    cos, sin = rope_tables(np.arange(t), cfg.head_dim, cfg.rope_base,
-                           dtype=model.embedding.data.dtype)
-    allowed = causal_mask(t, t)
-    h = embedding(model.embedding, tokens)
-    outs: list[Tensor | None] = [None] * cfg.n_branches
-    for k, depth in enumerate(cfg.exit_depths):
-        if depth == 0:
-            outs[k] = head_forward(model.exits[k], h, cfg, cos, sin, allowed, k, counter, tap=tap)
-    for i in range(cfg.n_layers):
-        h = block_forward(model.backbone[i], h, cfg, cos, sin, allowed, counter,
-                          name=f"backbone.{i}", tap=tap)
-        for k, depth in enumerate(cfg.exit_depths):
-            if depth == i + 1:
-                outs[k] = head_forward(model.exits[k], h, cfg, cos, sin, allowed, k,
-                                       counter, tap=tap)
-    return outs  # type: ignore[return-value]
+def copy_model(model: FamilialModel) -> FamilialModel:
+    """Deep copy sharing no array with `model`; gradients are dropped."""
+    clone = copy.deepcopy(model)
+    for _, p in named_parameters(clone):
+        p.grad = None
+    return clone
 
 
 def cast_model(model: FamilialModel, dtype) -> FamilialModel:
     """Copy of the model with every parameter in `dtype` (test twins)."""
-    def cast_w(w: Weight) -> Weight:
-        if isinstance(w, Factored):
-            return Factored(b=cast_w(w.b), a=cast_w(w.a))
-        return Tensor(w.data, requires_grad=w.requires_grad, dtype=dtype)
-
-    def cast_block(b: BlockWeights) -> BlockWeights:
-        return BlockWeights(**{m: cast_w(getattr(b, m))
-                               for m in BLOCK_MATRICES + BLOCK_NORMS})
-
-    out = FamilialModel(
-        config=model.config,
-        embedding=cast_w(model.embedding),
-        backbone=[cast_block(b) for b in model.backbone],
-        exits=[ExitHead(blocks=[cast_block(b) for b in h.blocks],
-                        final_norm=cast_w(h.final_norm),
-                        lm_proj=cast_w(h.lm_proj)) for h in model.exits],
-    )
-    out.freeze_mask = dict(model.freeze_mask)
+    out = copy_model(model)
+    for _, p in named_parameters(out):
+        p.data = p.data.astype(dtype)
     return out
 
 
@@ -478,15 +354,139 @@ def extract_submodel(model: FamilialModel, branch: int) -> FamilialModel:
     head = model.exits[branch]
     sub_cfg = replace(cfg, n_layers=depth, exit_depths=(depth,),
                       branch_blocks=(len(head.blocks),))
-    sub = FamilialModel(
-        config=sub_cfg,
-        embedding=_copy_weight(model.embedding),
-        backbone=[copy_block(b) for b in model.backbone[:depth]],
-        exits=[ExitHead(blocks=[copy_block(b) for b in head.blocks],
-                        final_norm=_copy_weight(head.final_norm),
-                        lm_proj=_copy_weight(head.lm_proj))],
-    )
-    sub.freeze_mask = {name: False for name, _ in named_parameters(sub)}
-    for _, p in named_parameters(sub):
-        p.requires_grad = True
+    sub = copy_model(FamilialModel(config=sub_cfg, embedding=model.embedding,
+                                   backbone=model.backbone[:depth], exits=[head]))
+    set_freeze(sub, lambda name: False)
     return sub
+
+
+# ---------------------------------------------------------------------------
+# forward passes
+# ---------------------------------------------------------------------------
+
+def apply_linear(x, w: Weight, name: str | None = None,
+                 tap: Callable[[str, np.ndarray], None] | None = None,
+                 ops: ModuleType = tensor):
+    if tap is not None and name is not None:
+        tap(name, x.data)
+    if isinstance(w, Factored):
+        return ops.matmul(ops.matmul(x, ops.param(w.b)), ops.param(w.a))
+    return ops.matmul(x, ops.param(w))
+
+
+def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
+                  cos: np.ndarray, sin: np.ndarray, allowed: np.ndarray,
+                  counter: CallCounter | None = None, name: str = "",
+                  tap: Callable[[str, np.ndarray], None] | None = None,
+                  ops: ModuleType = tensor, kv=None):
+    """One pre-norm decoder block: causal GQA attention then gated MLP.
+
+    `h` holds residual rows (B, T, hidden) in the value type of `ops`:
+    Tensors under `tensor`, arrays under `kernels`. `allowed` is the
+    (query, key) mask. `kv(k, v)`, when given, receives the rotated keys and
+    values of these rows and returns the ones to attend over; cached
+    decoding uses it to write its cache and read back the whole prefix.
+    """
+    if counter is not None:
+        counter.tick()
+    b, t, _ = h.shape
+    dh, hq, hkv = cfg.head_dim, cfg.q_heads, cfg.kv_heads
+
+    def heads(x, n):
+        return ops.transpose(ops.reshape(x, (b, t, n, dh)), (0, 2, 1, 3))
+
+    a = ops.rmsnorm(h, ops.param(block.attn_norm), cfg.rms_eps)
+    q = heads(apply_linear(a, block.w_q, f"{name}.w_q", tap, ops), hq)
+    k = heads(apply_linear(a, block.w_k, f"{name}.w_k", tap, ops), hkv)
+    v = heads(apply_linear(a, block.w_v, f"{name}.w_v", tap, ops), hkv)
+    q = ops.rope(q, cos, sin)
+    k = ops.rope(k, cos, sin)
+    if kv is not None:
+        k, v = kv(k, v)
+    k = ops.repeat_heads(k, hq // hkv)
+    v = ops.repeat_heads(v, hq // hkv)
+
+    scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    probs = ops.masked_softmax(scores, allowed[None, None])
+    ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), (0, 2, 1, 3)), (b, t, cfg.hidden))
+    h = h + apply_linear(ctx, block.w_o, f"{name}.w_o", tap, ops)
+
+    m = ops.rmsnorm(h, ops.param(block.mlp_norm), cfg.rms_eps)
+    gate = ops.silu(apply_linear(m, block.w_gate, f"{name}.w_gate", tap, ops))
+    up = apply_linear(m, block.w_up, f"{name}.w_up", tap, ops)
+    return h + apply_linear(gate * up, block.w_down, f"{name}.w_down", tap, ops)
+
+
+def head_logits(head: ExitHead, h, cfg: FamilyConfig, branch: int,
+                tap: Callable[[str, np.ndarray], None] | None = None,
+                ops: ModuleType = tensor):
+    """Vocabulary logits of exit `branch` from the output of its blocks."""
+    h = ops.rmsnorm(h, ops.param(head.final_norm), cfg.rms_eps)
+    return apply_linear(h, head.lm_proj, f"exits.{branch}.lm_proj", tap, ops)
+
+
+def _check_tokens(cfg: FamilyConfig, tokens: np.ndarray) -> np.ndarray:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 1:
+        tokens = tokens[None, :]
+    if tokens.shape[1] > cfg.ctx_len:
+        raise InputError(f"sequence length {tokens.shape[1]} exceeds ctx_len {cfg.ctx_len}")
+    return tokens
+
+
+def forward_exits(model: FamilialModel, tokens: np.ndarray, branches: list[int],
+                  counter: CallCounter | None = None, pos_offset: int = 0,
+                  tap: Callable[[str, np.ndarray], None] | None = None,
+                  on_block: Callable[[str, Tensor, Tensor], None] | None = None) -> list[Tensor]:
+    """Logits of `branches` (ascending) over a (B, T) token batch from one pass.
+
+    The backbone runs only as deep as the deepest requested exit; each
+    branch's blocks and head run off the residual stream tapped at its exit
+    depth, so no block runs twice. `on_block(name, h_in, h_out)` sees every
+    block application.
+    """
+    cfg = model.config
+    t = tokens.shape[1]
+    cos, sin = rope_tables(np.arange(pos_offset, pos_offset + t), cfg.head_dim,
+                           cfg.rope_base, dtype=model.embedding.data.dtype)
+    allowed = causal_mask(t, t)
+
+    def run(block: BlockWeights, h: Tensor, name: str) -> Tensor:
+        out = block_forward(block, h, cfg, cos, sin, allowed, counter, name=name, tap=tap)
+        if on_block is not None:
+            on_block(name, h, out)
+        return out
+
+    def exit_head(k: int, h: Tensor) -> Tensor:
+        for j, block in enumerate(model.exits[k].blocks):
+            h = run(block, h, f"exits.{k}.blocks.{j}")
+        return head_logits(model.exits[k], h, cfg, k, tap)
+
+    h = embedding(model.embedding, tokens)
+    outs = []
+    for depth in range(cfg.exit_depths[branches[-1]] + 1):
+        if depth:
+            h = run(model.backbone[depth - 1], h, f"backbone.{depth - 1}")
+        outs += [exit_head(k, h) for k in branches if cfg.exit_depths[k] == depth]
+    return outs
+
+
+def forward_branch(model: FamilialModel, tokens, branch: int,
+                   counter: CallCounter | None = None, pos_offset: int = 0,
+                   tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
+    """Logits (B, T, vocab) of one branch: backbone prefix plus its head."""
+    cfg = model.config
+    if not 0 <= branch < cfg.n_branches:
+        raise InputError(f"branch {branch} out of range")
+    return forward_exits(model, _check_tokens(cfg, tokens), [branch], counter,
+                         pos_offset, tap)[0]
+
+
+def forward_all_branches(model: FamilialModel, tokens,
+                         counter: CallCounter | None = None,
+                         tap: Callable[[str, np.ndarray], None] | None = None) -> list[Tensor]:
+    """All branch logits from exactly one backbone pass (hidden states are
+    tapped at each exit depth, never recomputed)."""
+    cfg = model.config
+    return forward_exits(model, _check_tokens(cfg, tokens), list(range(cfg.n_branches)),
+                         counter, tap=tap)

@@ -4,7 +4,9 @@ Values are numpy arrays (float32 by default, float64 supported for test
 twins); every operation is a pure function that records its parents and a
 backward closure on the output. The numeric kernels live in module-level
 `k_*` functions shared with the no-grad inference path, so a value computed
-through the graph is bit-identical to one computed directly.
+through the graph is bit-identical to one computed directly. The autodiff
+ops here and their kernels in `familykit.kernels` share names, so the model
+writes its block math once over either module (see `model.block_forward`).
 
 All matrix products go through `np.einsum` without the optimizer: its
 accumulation order for a given output element depends only on the
@@ -214,9 +216,6 @@ class Graph:
             for p in node._parents:
                 stack.append((p, False))
 
-    def leaves(self) -> list[Tensor]:
-        return [n for n in self.nodes if n._bwd is None]
-
 
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; accumulates into `.grad`."""
@@ -235,6 +234,11 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # differentiable operations
 # ---------------------------------------------------------------------------
+
+def param(p: Tensor) -> Tensor:
+    """A parameter as an operand of these ops: the Tensor itself."""
+    return p
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:

@@ -5,12 +5,14 @@ import pytest
 
 from conftest import make_corpus, tiny_config
 
+from familykit.cli import main as cli_main
 from familykit.checkpoint import (OptimizerSnapshot, config_fingerprint,
                                   ensure_compatible, load_checkpoint, save_checkpoint)
 from familykit.compression import apply_compression, build_plan, capture_activations
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
-from familykit.model import (desk_config, forward_branch, init_model, named_parameters)
+from familykit.model import (BLOCK_MATRICES, cast_model, desk_config, extract_submodel,
+                             forward_branch, get_weight_slot, init_model, named_parameters)
 from familykit.training import (LambdaSchedule, TrainConfig, TrainState, run_training,
                                 write_metrics_csv)
 
@@ -144,3 +146,145 @@ def test_resume_is_bit_identical(tmp_path):
     for name in _files(tmp_path / "full"):
         assert (tmp_path / "full" / name).read_bytes() == \
             (tmp_path / "resumed" / name).read_bytes(), name
+
+
+def _edit_manifest(ckpt, edit):
+    path = ckpt / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit({e["name"]: e for e in doc["params"]})
+    path.write_text(json.dumps(doc))
+
+
+def _rank2_plan(model, seed):
+    """Hand-made plan, no calibration: the last block of branch 0 and the
+    branch-0 head factored at rank 2."""
+    from familykit.compression import CompressionPlan, PlanEntry
+    j = len(model.exits[0].blocks) - 1
+    names = [f"exits.0.blocks.{j}.{m}" for m in BLOCK_MATRICES] + ["exits.0.lm_proj"]
+    rng = np.random.default_rng(seed)
+    entries, factors = [], {}
+    for name in names:
+        in_dim, out_dim = get_weight_slot(model, name).data.shape
+        factors[name] = (rng.standard_normal((out_dim, 2)).astype(np.float32),
+                         rng.standard_normal((2, in_dim)).astype(np.float32))
+        entries.append(PlanEntry(name=name, l_min=0.0, score=1.0, ratio=0.5, rank=2,
+                                 params_before=in_dim * out_dim,
+                                 params_after=2 * (in_dim + out_dim)))
+    return CompressionPlan(target_ratio=0.5, entries=entries, factors=factors,
+                           params_before=sum(e.params_before for e in entries),
+                           params_after=sum(e.params_after for e in entries))
+
+
+def _compressed_desk(seed):
+    """Desk model with branch 0 grown by one block, and that model compressed."""
+    grown, _ = expand(init_model(desk_config(), seed=seed),
+                      ExpansionSpec(target_branch=0, n_new_blocks=1, seed=seed))
+    return grown, apply_compression(grown, _rank2_plan(grown, seed))
+
+
+def _shape_edit(entries):
+    entries["embedding"]["shape"] = [259]
+
+
+def _length_edit(entries):
+    entries["backbone.0.w_q"]["byte_length"] += 4
+
+
+def _rank_edit(entries):
+    a = entries["exits.0.lm_proj.A"]
+    a["shape"] = [a["shape"][0] - 1, a["shape"][1]]
+    a["byte_length"] = 4 * a["shape"][0] * a["shape"][1]
+
+
+@pytest.mark.parametrize("edit", [_shape_edit, _length_edit, _rank_edit],
+                         ids=["plain-shape", "byte-length", "factor-rank"])
+def test_entries_checked_against_config(tmp_path, edit):
+    _, compressed = _compressed_desk(seed=9)
+    save_checkpoint(tmp_path / "c", compressed, seed=9)
+    load_checkpoint(tmp_path / "c")
+    _edit_manifest(tmp_path / "c", edit)
+    with pytest.raises(IntegrityError):
+        load_checkpoint(tmp_path / "c")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_damaged_weights_rejected(tmp_path, damage):
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=10), seed=10)
+    blob = tmp_path / "c" / "weights.bin"
+    if damage == "truncated":
+        blob.write_bytes(blob.read_bytes()[:blob.stat().st_size // 2])
+    else:
+        blob.unlink()
+    with pytest.raises(IntegrityError):
+        load_checkpoint(tmp_path / "c")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: "{not json",
+    lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
+    lambda doc: json.dumps({k: v for k, v in doc.items() if k != "params"}),
+], ids=["invalid-json", "no-config", "no-params"])
+def test_malformed_manifest_exits_5(tmp_path, damage):
+    save_checkpoint(tmp_path / "c", init_model(tiny_config(), seed=11), seed=11)
+    path = tmp_path / "c" / "manifest.json"
+    path.write_text(damage(json.loads(path.read_text())))
+    assert cli_main(["export", "--checkpoint", str(tmp_path / "c"), "--branch", "0",
+                     "--out", str(tmp_path / "out")]) == 5
+
+
+BLOCK_SLOTS = ["w_q", "w_k", "w_v", "w_o", "w_gate", "w_up", "w_down", "attn_norm",
+               "mlp_norm"]
+
+
+def _block_names(prefix, factored=()):
+    names = []
+    for m in BLOCK_SLOTS:
+        names += [f"{prefix}.{m}.A", f"{prefix}.{m}.B"] if m in factored \
+            else [f"{prefix}.{m}"]
+    return names
+
+
+def test_parameter_names_pin_checkpoint_layout():
+    """Golden checkpoint order: embedding, backbone blocks, then per exit its
+    blocks, final norm and head; a factored slot holds .A then .B in place."""
+    desk = ["embedding"]
+    for i in range(4):
+        desk += _block_names(f"backbone.{i}")
+    grown = list(desk)
+    for k in range(2):
+        desk += _block_names(f"exits.{k}.blocks.0") + [f"exits.{k}.final_norm",
+                                                       f"exits.{k}.lm_proj"]
+    model = init_model(desk_config(), seed=12)
+    assert [n for n, _ in named_parameters(model)] == desk
+
+    grown_model, _ = expand(model, ExpansionSpec(target_branch=0, n_new_blocks=3, seed=12))
+    expected = list(grown)
+    for j in range(4):
+        expected += _block_names(f"exits.0.blocks.{j}")
+    expected += ["exits.0.final_norm", "exits.0.lm_proj"]
+    expected += _block_names("exits.1.blocks.0") + ["exits.1.final_norm", "exits.1.lm_proj"]
+    assert [n for n, _ in named_parameters(grown_model)] == expected
+
+    _, compressed = _compressed_desk(seed=12)
+    expected = list(grown) + _block_names("exits.0.blocks.0")
+    expected += _block_names("exits.0.blocks.1", factored=BLOCK_MATRICES)
+    expected += ["exits.0.final_norm", "exits.0.lm_proj.A", "exits.0.lm_proj.B"]
+    expected += _block_names("exits.1.blocks.0") + ["exits.1.final_norm", "exits.1.lm_proj"]
+    assert [n for n, _ in named_parameters(compressed)] == expected
+
+
+def test_copies_drop_grads_and_share_no_arrays():
+    grown, compressed = _compressed_desk(seed=13)
+    for source in (grown, compressed):
+        for _, p in named_parameters(source):
+            p.grad = np.ones_like(p.data)
+        results = [expand(source, ExpansionSpec(target_branch=1, n_new_blocks=1))[0],
+                   extract_submodel(source, 0), extract_submodel(source, 1),
+                   cast_model(source, np.float32), cast_model(source, np.float64)]
+        if source is grown:
+            results.append(apply_compression(source, _rank2_plan(source, 13)))
+        arrays = [a for _, p in named_parameters(source) for a in (p.data, p.grad)]
+        for result in results:
+            for name, q in named_parameters(result):
+                assert q.grad is None, name
+                assert not any(np.shares_memory(q.data, a) for a in arrays), name
