@@ -22,7 +22,6 @@ from .expansion import (AblationResult, ExpansionReport, ExpansionSpec, ablation
                         expand, layer_cosine_similarity, verify_identity)
 from .inference import (ExitPolicy, GenerationTrace, TokenRecord, confidence,
                         exit_histogram, generate)
-from .linalg import cholesky, svd
 from .model import (CallCounter, ExitHead, Factored, FamilialModel, FamilyConfig,
                     desk_config, extract_submodel, forward_all_branches, forward_branch,
                     init_model, named_parameters, param_count, set_freeze)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError
 from .model import (LINEAR_SLOTS, Factored, FamilialModel, FamilyConfig, blank_model,
                     named_parameters, weight_slots)
 from .tensor import Tensor
@@ -153,7 +153,10 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
     """
     path = Path(path)
     manifest = _read_manifest(path)
-    config = FamilyConfig.from_dict(manifest["config"])
+    try:
+        config = FamilyConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise IntegrityError(f"checkpoint manifest: {exc}") from exc
     blob = _read_blob(path / WEIGHTS)
     entries = {_field(e, "name", str): e for e in manifest["params"]}
 

@@ -3,8 +3,9 @@
 A calibration pass accumulates per-matrix input Gram matrices; each target
 matrix W is factorized by truncated SVD of W @ F, where F is a whitening
 factor with F @ F.T equal to the Gram (Cholesky when definite, symmetric
-SVD otherwise). Truncating in the whitened basis minimizes the activation
-reconstruction error ||W X - W' X||_F rather than plain weight error.
+SVD otherwise; both, like F^-1, from numpy's LAPACK). Truncating in the
+whitened basis minimizes the activation reconstruction error
+||W X - W' X||_F rather than plain weight error.
 
 Per-matrix removal ratios are distributed within a group proportionally to
 inverted-log truncation losses, then integer ranks are nudged until the
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
-from .linalg import cholesky_array, invert_lower_triangular, svd_array
+from .linalg import cholesky_array, svd_array
 from .model import (Factored, FamilialModel, copy_model, forward_all_branches,
                     get_weight_slot, named_parameters, param_count, set_weight_slot)
 from .tensor import Tensor
@@ -99,7 +100,7 @@ class WhitenFactors:
 def whiten(gram: np.ndarray, method: str = "auto") -> WhitenFactors:
     """Whitening factor of a symmetric Gram matrix.
 
-    Primary path is Cholesky (F = L, inverse by triangular solve); on a
+    Primary path is Cholesky (F = L, inverse by LAPACK `inv`); on a
     non-positive-definite pivot it falls back to the symmetric SVD path
     F = U_s sqrt(S_s), whose inverse clamps singular values below
     1e-8 * max before inverting.
@@ -110,7 +111,7 @@ def whiten(gram: np.ndarray, method: str = "auto") -> WhitenFactors:
     if method in ("auto", "cholesky"):
         try:
             lower = cholesky_array(gram)
-            return WhitenFactors(factor=lower, inverse=invert_lower_triangular(lower),
+            return WhitenFactors(factor=lower, inverse=np.linalg.inv(lower),
                                  path="cholesky")
         except DefinitenessError:
             if method == "cholesky":

@@ -1,95 +1,31 @@
-"""Dense linear-algebra kernels: one-sided Jacobi SVD, Cholesky, solves.
+"""Dense linear algebra for compression: thin SVD and Cholesky on LAPACK.
 
-The array-level functions (`svd_array`, `cholesky_array`, ...) compute in
-float64 regardless of input dtype; the Tensor wrappers cast results back to
-the input dtype. Jacobi was chosen over bidiagonalization for its
-simplicity and its excellent accuracy at the matrix sizes this package
-works with; the sweep cap and off-diagonal tolerance are fixed here.
+Both functions compute in float64 regardless of input dtype and check what
+`np.linalg` does not: the SVD wants a finite matrix, the Cholesky a finite,
+square, symmetric one, and a non-positive-definite input raises
+`DefinitenessError` so that whitening can fall back to the SVD path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DefinitenessError, InputError, NumericError, ShapeError
-from .tensor import Tensor
-
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-10
+from .errors import DefinitenessError, InputError, ShapeError
 
 
 def svd_array(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD via one-sided Jacobi: m == U @ diag(S) @ V, V is (p, cols).
+    """Thin SVD: m == U @ diag(S) @ V, V is (p, cols).
 
     Singular values are nonnegative and sorted nonincreasing. U has
     orthonormal columns and V orthonormal rows even when m is rank
-    deficient (null directions are basis-completed deterministically).
+    deficient.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"svd expects a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError("svd requires finite input")
-    if m.shape[0] < m.shape[1]:
-        v_t, s, u_t = svd_array(m.T)
-        return u_t.T, s, v_t.T
-
-    rows, cols = m.shape
-    a = m.copy()
-    v = np.eye(cols)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                alpha = float(a[:, p] @ a[:, p])
-                beta = float(a[:, q] @ a[:, q])
-                gamma = float(a[:, p] @ a[:, q])
-                off = max(off, abs(gamma) / max(np.sqrt(alpha * beta), 1e-300))
-                if gamma == 0.0:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if off < JACOBI_TOL:
-            break
-    else:
-        raise NumericError(f"jacobi svd did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-
-    sing = np.sqrt(np.sum(a * a, axis=0))
-    order = np.argsort(-sing, kind="stable")
-    sing = sing[order]
-    a = a[:, order]
-    v = v[:, order]
-
-    u = np.zeros((rows, cols))
-    cutoff = sing[0] * 1e-13 if sing[0] > 0 else 0.0
-    for j in range(cols):
-        if sing[j] > cutoff:
-            u[:, j] = a[:, j] / sing[j]
-        else:
-            sing[j] = 0.0
-            u[:, j] = _complete_column(u, j, rows)
-    return u, sing, v.T
-
-
-def _complete_column(u: np.ndarray, j: int, rows: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to u[:, :j] (Gram-Schmidt on e_i)."""
-    for i in range(rows):
-        cand = np.zeros(rows)
-        cand[i] = 1.0
-        cand -= u[:, :j] @ (u[:, :j].T @ cand)
-        cand -= u[:, :j] @ (u[:, :j].T @ cand)  # second pass for orthogonality
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            return cand / norm
-    raise NumericError("could not complete orthonormal basis")
+    return np.linalg.svd(m, full_matrices=False)
 
 
 def cholesky_array(m: np.ndarray) -> np.ndarray:
@@ -97,44 +33,12 @@ def cholesky_array(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"cholesky expects a square matrix, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError("cholesky requires finite input")
     scale = max(float(np.abs(m).max()), 1.0)
     if float(np.abs(m - m.T).max()) > 1e-6 * scale:
         raise InputError("cholesky requires a symmetric matrix")
-    n = m.shape[0]
-    lower = np.zeros_like(m)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = m[i, j] - lower[i, :j] @ lower[j, :j]
-            if i == j:
-                if acc <= 0.0:
-                    raise DefinitenessError(f"non-positive pivot {acc:.3e} at index {i}")
-                lower[i, j] = np.sqrt(acc)
-            else:
-                lower[i, j] = acc / lower[j, j]
-    return lower
-
-
-def solve_lower_triangular(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution: solve L @ X == rhs for X."""
-    lower = np.asarray(lower, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    n = lower.shape[0]
-    x = np.zeros((n,) + rhs.shape[1:])
-    for i in range(n):
-        x[i] = (rhs[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x
-
-
-def invert_lower_triangular(lower: np.ndarray) -> np.ndarray:
-    return solve_lower_triangular(lower, np.eye(lower.shape[0]))
-
-
-def svd(m: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Tensor-level thin SVD; factors come back in m's dtype."""
-    u, s, v = svd_array(m.data)
-    dt = m.data.dtype
-    return Tensor(u, dtype=dt), Tensor(s, dtype=dt), Tensor(v, dtype=dt)
-
-
-def cholesky(m: Tensor) -> Tensor:
-    return Tensor(cholesky_array(m.data), dtype=m.data.dtype)
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError("cholesky requires a positive definite matrix") from exc

@@ -112,6 +112,8 @@ class FamilyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilyConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be an object, got {d!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -120,11 +122,21 @@ class FamilyConfig:
                    "exit_depths", "branch_blocks"} - set(d)
         if missing:
             raise ConfigError(f"missing model config keys: {sorted(missing)}")
-        d = dict(d)
-        d["exit_depths"] = tuple(d["exit_depths"])
-        bb = d["branch_blocks"]
-        d["branch_blocks"] = tuple(bb) if isinstance(bb, (list, tuple)) else bb
+        d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+        for key, value in d.items():
+            if key in ("rms_eps", "rope_base"):
+                ok = isinstance(value, float) or _is_int(value)
+            elif key == "exit_depths" or (key == "branch_blocks" and isinstance(value, tuple)):
+                ok = isinstance(value, tuple) and all(_is_int(v) for v in value)
+            else:  # branch_blocks may also be one count for every exit
+                ok = _is_int(value)
+            if not ok:
+                raise ConfigError(f"model config {key!r} has the wrong type: {value!r}")
         return cls(**d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def desk_config(**overrides) -> FamilyConfig:
@@ -425,16 +437,7 @@ def head_logits(head: ExitHead, h, cfg: FamilyConfig, branch: int,
     return apply_linear(h, head.lm_proj, f"exits.{branch}.lm_proj", tap, ops)
 
 
-def _check_tokens(cfg: FamilyConfig, tokens: np.ndarray) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-    if tokens.shape[1] > cfg.ctx_len:
-        raise InputError(f"sequence length {tokens.shape[1]} exceeds ctx_len {cfg.ctx_len}")
-    return tokens
-
-
-def forward_exits(model: FamilialModel, tokens: np.ndarray, branches: list[int],
+def forward_exits(model: FamilialModel, tokens, branches: list[int],
                   counter: CallCounter | None = None, pos_offset: int = 0,
                   tap: Callable[[str, np.ndarray], None] | None = None,
                   on_block: Callable[[str, Tensor, Tensor], None] | None = None) -> list[Tensor]:
@@ -446,7 +449,15 @@ def forward_exits(model: FamilialModel, tokens: np.ndarray, branches: list[int],
     block application.
     """
     cfg = model.config
+    for k in branches:
+        if not 0 <= k < cfg.n_branches:
+            raise InputError(f"branch {k} out of range")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 1:
+        tokens = tokens[None, :]
     t = tokens.shape[1]
+    if t > cfg.ctx_len:
+        raise InputError(f"sequence length {t} exceeds ctx_len {cfg.ctx_len}")
     cos, sin = rope_tables(np.arange(pos_offset, pos_offset + t), cfg.head_dim,
                            cfg.rope_base, dtype=model.embedding.data.dtype)
     allowed = causal_mask(t, t)
@@ -475,11 +486,7 @@ def forward_branch(model: FamilialModel, tokens, branch: int,
                    counter: CallCounter | None = None, pos_offset: int = 0,
                    tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
     """Logits (B, T, vocab) of one branch: backbone prefix plus its head."""
-    cfg = model.config
-    if not 0 <= branch < cfg.n_branches:
-        raise InputError(f"branch {branch} out of range")
-    return forward_exits(model, _check_tokens(cfg, tokens), [branch], counter,
-                         pos_offset, tap)[0]
+    return forward_exits(model, tokens, [branch], counter, pos_offset, tap)[0]
 
 
 def forward_all_branches(model: FamilialModel, tokens,
@@ -487,6 +494,5 @@ def forward_all_branches(model: FamilialModel, tokens,
                          tap: Callable[[str, np.ndarray], None] | None = None) -> list[Tensor]:
     """All branch logits from exactly one backbone pass (hidden states are
     tapped at each exit depth, never recomputed)."""
-    cfg = model.config
-    return forward_exits(model, _check_tokens(cfg, tokens), list(range(cfg.n_branches)),
-                         counter, tap=tap)
+    return forward_exits(model, tokens, list(range(model.config.n_branches)), counter,
+                         tap=tap)

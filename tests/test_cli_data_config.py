@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import desk_run_config, make_corpus
 
-from familykit.checkpoint import load_checkpoint
+from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.cli import main as cli_main
 from familykit.config import build_run_config, load_run_config, parse_overrides
 from familykit.data import ByteTokenizer, WindowSampler, load_corpus
 from familykit.errors import ConfigError, DataError, InputError
 from familykit.evaluation import branch_perplexity
-from familykit.model import named_parameters
+from familykit.model import desk_config, init_model, named_parameters
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,25 @@ def test_lambda_section_arity_checked():
     assert cfg.lambda_schedule.final == (0.1, 1.0)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("exit_depths", 2), ("exit_depths", None), ("exit_depths", ["a", 4]),
+    ("branch_blocks", "x"), ("hidden", "32"),
+], ids=["depths-int", "depths-null", "depths-str-item", "blocks-str", "hidden-str"])
+def test_mistyped_model_fields_rejected(tmp_path, key, value):
+    # a run config gives exit 2, the same config in a checkpoint manifest exit 5
+    doc = _doc()
+    doc["model"][key] = value
+    with pytest.raises(ConfigError):
+        build_run_config(doc)
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=1), seed=1)
+    path = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"][key] = value
+    path.write_text(json.dumps(manifest))
+    assert cli_main(["export", "--checkpoint", str(tmp_path / "c"), "--branch", "0",
+                     "--out", str(tmp_path / "out")]) == 5
+
+
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.json")
@@ -216,6 +235,15 @@ def test_cli_eval_generate_analyze_export(mini_pipeline, tmp_path):
     ids = load_corpus(corpus)
     family, _, _ = load_checkpoint(ckpt)
     assert branch_perplexity(sub, ids, 0) == branch_perplexity(family, ids, 0)
+
+
+@pytest.mark.parametrize("args", [["--branch", "5"], ["--branch", "-1"],
+                                  ["--text", "x" * 100]],
+                         ids=["branch-past-last", "branch-negative", "text-past-ctx-len"])
+def test_cli_analyze_rejects_bad_branch_and_text(tmp_path, args):
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=2), seed=2)
+    assert cli_main(["analyze", "--checkpoint", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "a"), *args]) == 2
 
 
 def test_cli_exit_codes(mini_pipeline, tmp_path):
