@@ -9,7 +9,7 @@ exits. Pure numpy, deterministic end to end.
 from .checkpoint import (OptimizerSnapshot, config_fingerprint, load_checkpoint,
                          save_checkpoint)
 from .compression import (CalibrationSet, CompressionPlan, CompressionReport,
-                          MatrixGroup, WhitenFactors, allocate_ratios,
+                          Decomposition, MatrixGroup, WhitenFactors, allocate_ratios,
                           apply_compression, build_plan, capture_activations,
                           decompose, measure_compression, truncation_loss, whiten)
 from .config import CompressionConfig, RunConfig, build_run_config, load_run_config

@@ -126,7 +126,8 @@ def _read_manifest(path: Path) -> dict:
 
 def _read_array(blob: bytes, entry: dict, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """The array a table entry describes, checked against the blob and, when
-    given, against the shape the config implies for it."""
+    given, against the shape the config implies for it; NaN or inf in it
+    means a damaged artifact."""
     name = _field(entry, "name", str)
     found = tuple(_field(entry, "shape", list))
     offset, length = _field(entry, "byte_offset", int), _field(entry, "byte_length", int)
@@ -140,7 +141,10 @@ def _read_array(blob: bytes, entry: dict, shape: tuple[int, ...] | None = None) 
     if length != 4 * count or offset < 0 or offset + length > len(blob):
         raise IntegrityError(f"{name}: {length} bytes at offset {offset} do not hold "
                              f"{count} float32 values inside a {len(blob)}-byte blob")
-    return np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(found).copy()
+    array = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(found).copy()
+    if not np.isfinite(array).all():
+        raise IntegrityError(f"{name} holds non-finite values")
+    return array
 
 
 def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnapshot | None]:

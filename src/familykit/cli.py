@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from .evaluation import branch_perplexity
 from .expansion import (ablation_run, cosine_csv_rows, expand, layer_cosine_similarity,
                         verify_identity)
 from .inference import ExitPolicy, generate
-from .model import extract_submodel, init_model, param_count
+from .model import (BLOCK_MATRICES, FamilyConfig, extract_submodel, init_model,
+                    param_count)
 from .rng import SplitRng
 from .training import (LambdaSchedule, TrainState, run_training, write_metrics_csv)
 
@@ -124,11 +126,8 @@ def cmd_expand(args) -> int:
                                           spec.target_branch, cfg.train.total_steps)
     if args.ablate:
         result = ablation_run(model, ids, spec, cfg.train)
-        rows = ["step,branch,loss,lambda,lr,grad_norm,arm"]
-        for arm, state in result.states.items():
-            from .training import metrics_rows
-            rows.extend(metrics_rows(state.metrics, arm=arm))
-        (out / "ablation.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for i, (arm, state) in enumerate(result.states.items()):
+            write_metrics_csv(out / "ablation.csv", state.metrics, arm=arm, append=i > 0)
         state = result.states[spec.init_mode]
         print(f"ablation traces written to {out / 'ablation.csv'}")
     else:
@@ -145,36 +144,30 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _compression_scope(cfg: RunConfig, model) -> set[str]:
+def _compression_scope(cfg: RunConfig) -> tuple[FamilyConfig, set[str]]:
+    """The post-expansion config the checkpoint must have, and the names of
+    the matrices compression factors in it: the expanded blocks and the head."""
     if cfg.expansion is None:
         raise ConfigError("compress command needs the expansion section that produced "
                           "the checkpoint (to locate the expanded blocks)")
-    target = cfg.expansion.target_branch
-    n_new = cfg.expansion.n_new_blocks
-    total_blocks = model.config.branch_blocks[target]
-    if total_blocks < n_new:
-        raise IntegrityError("checkpoint has fewer branch blocks than the expansion spec")
-    from .model import BLOCK_MATRICES
+    target, n_new = cfg.expansion.target_branch, cfg.expansion.n_new_blocks
+    if not 0 <= target < cfg.model.n_branches:
+        raise ConfigError(f"expansion.target_branch {target} is not a branch of the model")
+    bb = list(cfg.model.branch_blocks)
+    bb[target] += n_new
     names = {f"exits.{target}.blocks.{j}.{m}"
-             for j in range(total_blocks - n_new, total_blocks)
+             for j in range(bb[target] - n_new, bb[target])
              for m in BLOCK_MATRICES}
     names.add(f"exits.{target}.lm_proj")
-    return names
+    return replace(cfg.model, branch_blocks=tuple(bb)), names
 
 
 def cmd_compress(args) -> int:
     cfg = load_run_config(args.config, parse_overrides(args.override))
     if cfg.compression is None:
         raise ConfigError("compress command needs a compression section")
-    if cfg.expansion is None:
-        raise ConfigError("compress command needs the expansion section that produced "
-                          "the checkpoint")
+    expected, scope_names = _compression_scope(cfg)
     out = _out_dir(args, cfg)
-    # the checkpoint carries the post-expansion shape of the base config
-    from dataclasses import replace
-    bb = list(cfg.model.branch_blocks)
-    bb[cfg.expansion.target_branch] += cfg.expansion.n_new_blocks
-    expected = replace(cfg.model, branch_blocks=tuple(bb))
     model, seed, _ = _load_model(args, cfg, expected=expected)
     comp = cfg.compression
 
@@ -188,7 +181,6 @@ def cmd_compress(args) -> int:
     picks = rng.permutation(sampler.n_windows)[:n]
     calib_tokens = np.stack([sampler.window(int(w)) for w in picks])
 
-    scope_names = _compression_scope(cfg, model)
     calib = capture_activations(model, calib_tokens, scope=lambda name: name in scope_names)
     plan = build_plan(model, calib, comp.ratio)
     compressed = apply_compression(model, plan)

@@ -1,11 +1,14 @@
 """Post-training low-rank decomposition with activation whitening.
 
 A calibration pass accumulates per-matrix input Gram matrices; each target
-matrix W is factorized by truncated SVD of W @ F, where F is a whitening
+matrix W is decomposed once, by SVD of W @ F, where F is a whitening
 factor with F @ F.T equal to the Gram (Cholesky when definite, symmetric
 SVD otherwise; both, like F^-1, from numpy's LAPACK). Truncating in the
 whitened basis minimizes the activation reconstruction error
-||W X - W' X||_F rather than plain weight error.
+||W X - W' X||_F rather than plain weight error, and that error at rank r
+is the tail of the whitened singular values, sqrt(sum_{i>r} s_i^2). The
+one decomposition gives both a matrix's truncation loss L_min and its
+factor pair at whatever rank the plan settles on.
 
 Per-matrix removal ratios are distributed within a group proportionally to
 inverted-log truncation losses, then integer ranks are nudged until the
@@ -97,7 +100,7 @@ class WhitenFactors:
     path: str            # "cholesky" or "svd"
 
 
-def whiten(gram: np.ndarray, method: str = "auto") -> WhitenFactors:
+def whiten(gram: np.ndarray) -> WhitenFactors:
     """Whitening factor of a symmetric Gram matrix.
 
     Primary path is Cholesky (F = L, inverse by LAPACK `inv`); on a
@@ -106,17 +109,11 @@ def whiten(gram: np.ndarray, method: str = "auto") -> WhitenFactors:
     1e-8 * max before inverting.
     """
     gram = np.asarray(gram, dtype=np.float64)
-    if method not in ("auto", "cholesky", "svd"):
-        raise ConfigError(f"unknown whitening method {method!r}")
-    if method in ("auto", "cholesky"):
-        try:
-            lower = cholesky_array(gram)
-            return WhitenFactors(factor=lower, inverse=np.linalg.inv(lower),
-                                 path="cholesky")
-        except DefinitenessError:
-            if method == "cholesky":
-                raise
-            log.info("gram not positive definite; falling back to SVD whitening")
+    try:
+        lower = cholesky_array(gram)
+        return WhitenFactors(factor=lower, inverse=np.linalg.inv(lower), path="cholesky")
+    except DefinitenessError:
+        log.info("gram not positive definite; falling back to SVD whitening")
     u_s, s_s, _ = svd_array(gram)
     s_clamped = np.maximum(s_s, SVD_CLAMP * (s_s[0] if s_s[0] > 0 else 1.0))
     root = np.sqrt(s_clamped)
@@ -134,38 +131,38 @@ def rank_for_ratio(out_dim: int, in_dim: int, ratio: float) -> int:
     return min(r, min(out_dim, in_dim))
 
 
-def decompose(w: np.ndarray, gram: np.ndarray, ratio: float | None = None,
-              rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened truncated factorization of W (out x in): returns (A, B) with
-    A (out x r), B (r x in) and A @ B the rank-r minimizer of ||W X - W' X||_F.
+@dataclass
+class Decomposition:
+    """Whitened SVD of W (out x in): W @ F == u @ diag(s) @ vt, with F^-1."""
 
-    `rank` overrides the ratio-derived budget (the budget can never express
-    a full-rank factorization, since (out+in)*min(out,in) >= out*in).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if rank is None:
-        if ratio is None:
-            raise ConfigError("decompose needs a ratio or an explicit rank")
-        if not 0.0 <= ratio < 1.0:
-            raise ConfigError("ratio must be in [0, 1)")
-        rank = rank_for_ratio(w.shape[0], w.shape[1], ratio)
-    rank = max(1, min(int(rank), min(w.shape)))
+    u: np.ndarray
+    s: np.ndarray        # nonincreasing
+    vt: np.ndarray
+    inverse: np.ndarray  # F^-1
+
+    def factors(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) with A (out x r), B (r x in) and A @ B the rank-r minimizer
+        of ||W X - W' X||_F; r is clamped to [1, min(out, in)]."""
+        rank = max(1, min(int(rank), len(self.s)))
+        root = np.sqrt(self.s[:rank])
+        a = self.u[:, :rank] * root[None, :]
+        b = (root[:, None] * self.vt[:rank, :]) @ self.inverse
+        return a, b
+
+
+def decompose(w: np.ndarray, gram: np.ndarray) -> Decomposition:
+    """One whitening and one SVD; every rank's factors and loss are read off it."""
     wf = whiten(gram)
-    u, s, vt = svd_array(w @ wf.factor)
-    root = np.sqrt(s[:rank])
-    a = u[:, :rank] * root[None, :]
-    b = (root[:, None] * vt[:rank, :]) @ wf.inverse
-    return a, b
+    u, s, vt = svd_array(np.asarray(w, dtype=np.float64) @ wf.factor)
+    return Decomposition(u=u, s=s, vt=vt, inverse=wf.inverse)
 
 
-def truncation_loss(w: np.ndarray, gram: np.ndarray, rank: int) -> float:
-    """||W X - W' X||_F at the given retained rank, via the Gram identity
-    ||M X||_F^2 == trace(M Gram M^T)."""
-    w = np.asarray(w, dtype=np.float64)
-    a, b = decompose(w, gram, rank=rank)
-    diff = w - a @ b
-    val = float(np.trace(diff @ np.asarray(gram, np.float64) @ diff.T))
-    return math.sqrt(max(val, 0.0))
+def truncation_loss(decomposition: Decomposition, rank: int) -> float:
+    """||W X - W' X||_F at the given retained rank: the whitened singular
+    values past `rank`, sqrt(sum_{i>r} s_i^2), since (W - W') F is their part
+    of the SVD. On the SVD whitening path F @ F.T exceeds the Gram by the
+    clamp alone, so the tail exceeds the loss by at most that much."""
+    return math.sqrt(float(np.sum(decomposition.s[rank:] ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +254,12 @@ def group_of(name: str) -> str:
     return "heads"
 
 
-def _matrix_dims(model: FamilialModel, name: str) -> tuple[int, int]:
+def _matrix(model: FamilialModel, name: str) -> np.ndarray:
+    """W (out x in) in binary64; a factored slot cannot be planned again."""
     slot = get_weight_slot(model, name)
     if isinstance(slot, Factored):
         raise ConfigError(f"{name} is already factored")
-    in_dim, out_dim = slot.data.shape
-    return out_dim, in_dim
+    return slot.data.T.astype(np.float64)
 
 
 def build_plan(model: FamilialModel, calib: CalibrationSet,
@@ -270,15 +267,11 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
     """Eq-driven per-matrix ratios, floor ranks, then a rank repair pass so
     the achieved removal over the scope lands within 2% of target."""
     names = sorted(calib.grams)
-    grams = {n: ridged(calib.grams[n]) for n in names}
-    dims = {n: _matrix_dims(model, n) for n in names}
-    weights = {n: get_weight_slot(model, n).data.T.astype(np.float64) for n in names}
-
-    losses = {}
-    for n in names:
-        out_dim, in_dim = dims[n]
-        ref_rank = rank_for_ratio(out_dim, in_dim, target_ratio)
-        losses[n] = truncation_loss(weights[n], grams[n], ref_rank)
+    weights = {n: _matrix(model, n) for n in names}
+    dims = {n: weights[n].shape for n in names}
+    decomps = {n: decompose(weights[n], ridged(calib.grams[n])) for n in names}
+    losses = {n: truncation_loss(decomps[n], rank_for_ratio(*dims[n], target_ratio))
+              for n in names}
 
     by_group: dict[str, list[str]] = {}
     for n in names:
@@ -318,7 +311,7 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
     scores = {g.group_id: g.scores for g in groups}
     for n in names:
         out_dim, in_dim = dims[n]
-        a, b = decompose(weights[n], grams[n], rank=ranks[n])
+        a, b = decomps[n].factors(ranks[n])
         factors[n] = (a.astype(np.float32), b.astype(np.float32))
         entries.append(PlanEntry(
             name=n, l_min=losses[n], score=scores[group_of(n)][n], ratio=ratios[n],

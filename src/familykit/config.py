@@ -14,18 +14,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .expansion import ExpansionSpec
-from .model import FamilyConfig
-from .training import LAMBDA_KINDS, LambdaSchedule, TrainConfig
+from .model import FamilyConfig, from_fields
+from .training import LambdaSchedule, TrainConfig
 
 ENV_SEED = "FAMILYKIT_SEED"
 
-_TRAIN_KEYS = {"peak_lr", "warmup_steps", "total_steps", "batch", "seq_len",
-               "weight_decay", "beta1", "beta2", "adam_eps", "grad_clip_norm", "seed"}
-_LAMBDA_KEYS = {"kind", "initial", "final"}
-_EXPANSION_KEYS = {"target_branch", "n_new_blocks", "init_mode", "clone_source",
-                   "gaussian_std", "seed"}
-_COMPRESSION_KEYS = {"ratio", "calib_sequences", "calib_tokens"}
-_PATH_KEYS = {"corpus", "eval_corpus", "checkpoint", "out"}
 _TOP_KEYS = {"seed", "model", "train", "lambda", "expansion", "compression", "paths"}
 
 
@@ -40,6 +33,14 @@ class CompressionConfig:
             raise ConfigError("compression ratio must be in (0, 1)")
         if self.calib_sequences < 1 or self.calib_tokens < 2:
             raise ConfigError("calibration size must be positive")
+
+
+@dataclass(frozen=True)
+class _Paths:
+    corpus: str | None = None
+    eval_corpus: str | None = None
+    checkpoint: str | None = None
+    out: str | None = None
 
 
 @dataclass
@@ -67,6 +68,12 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(doc: dict, name: str) -> dict:
+    if not isinstance(doc[name], dict):
+        raise ConfigError(f"{name} must be an object, got {doc[name]!r}")
+    return doc[name]
 
 
 def _apply_override(doc: dict, dotted: str, raw: str) -> None:
@@ -108,51 +115,43 @@ def build_run_config(doc: dict, overrides: list[tuple[str, str]] = ()) -> RunCon
         env = os.environ.get(ENV_SEED)
         if env is None:
             raise ConfigError(f"seed is mandatory (set it in the config or via {ENV_SEED})")
-        seed = int(env)
-    seed = int(seed)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED}={env!r} is not an integer") from None
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     train = None
     if "train" in doc:
-        _check_keys(doc["train"], _TRAIN_KEYS, "train")
-        tdoc = dict(doc["train"])
-        tdoc.setdefault("seed", seed)
-        train = TrainConfig(**tdoc)
+        train = from_fields(TrainConfig, {"seed": seed, **_section(doc, "train")}, "train")
 
     schedule = None
     if "lambda" in doc:
-        _check_keys(doc["lambda"], _LAMBDA_KEYS, "lambda")
         if train is None:
             raise ConfigError("a lambda section requires a train section")
-        ldoc = doc["lambda"]
-        kind = ldoc.get("kind", "linear_decay")
-        if kind not in LAMBDA_KINDS:
-            raise ConfigError(f"lambda kind must be one of {LAMBDA_KINDS}")
-        initial = tuple(ldoc.get("initial", (1.0,) * model.n_branches))
-        final = tuple(ldoc.get("final", initial))
-        if len(initial) != model.n_branches or len(final) != model.n_branches:
+        ldoc = {"kind": "linear_decay", "initial": [1.0] * model.n_branches,
+                **_section(doc, "lambda")}
+        ldoc.setdefault("final", ldoc["initial"])
+        schedule = from_fields(LambdaSchedule, ldoc, "lambda",
+                               total_steps=train.total_steps)
+        if len(schedule.initial) != model.n_branches:
             raise ConfigError("lambda weights must list one value per branch")
-        schedule = LambdaSchedule(kind=kind, initial=initial, final=final,
-                                  total_steps=train.total_steps)
 
     expansion = None
     if "expansion" in doc:
-        _check_keys(doc["expansion"], _EXPANSION_KEYS, "expansion")
-        edoc = dict(doc["expansion"])
-        edoc.setdefault("seed", seed)
-        expansion = ExpansionSpec(**edoc)
+        expansion = from_fields(ExpansionSpec, {"seed": seed, **_section(doc, "expansion")},
+                                "expansion")
 
     compression = None
     if "compression" in doc:
-        _check_keys(doc["compression"], _COMPRESSION_KEYS, "compression")
-        compression = CompressionConfig(**doc["compression"])
+        compression = from_fields(CompressionConfig, doc["compression"], "compression")
 
-    paths = doc.get("paths", {})
-    _check_keys(paths, _PATH_KEYS, "paths")
-
+    paths = from_fields(_Paths, doc.get("paths", {}), "paths")
     return RunConfig(seed=seed, model=model, train=train, lambda_schedule=schedule,
                      expansion=expansion, compression=compression,
-                     corpus=paths.get("corpus"), eval_corpus=paths.get("eval_corpus"),
-                     checkpoint=paths.get("checkpoint"), out=paths.get("out"))
+                     corpus=paths.corpus, eval_corpus=paths.eval_corpus,
+                     checkpoint=paths.checkpoint, out=paths.out)
 
 
 def load_run_config(path: str | Path, overrides: list[tuple[str, str]] = ()) -> RunConfig:

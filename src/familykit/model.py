@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from types import ModuleType
 from typing import Callable, Iterator, Union
 
@@ -45,7 +45,7 @@ class FamilyConfig:
     vocab: int
     ctx_len: int
     exit_depths: tuple[int, ...]
-    branch_blocks: tuple[int, ...]
+    branch_blocks: tuple[int, ...] | int  # one int: the same count for every exit
     mlp_mult: int = 4
     rms_eps: float = 1e-5
     rope_base: float = 10000.0
@@ -112,31 +112,45 @@ class FamilyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilyConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"model config must be an object, got {d!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        missing = {"n_layers", "hidden", "q_heads", "kv_heads", "vocab", "ctx_len",
-                   "exit_depths", "branch_blocks"} - set(d)
-        if missing:
-            raise ConfigError(f"missing model config keys: {sorted(missing)}")
-        d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        for key, value in d.items():
-            if key in ("rms_eps", "rope_base"):
-                ok = isinstance(value, float) or _is_int(value)
-            elif key == "exit_depths" or (key == "branch_blocks" and isinstance(value, tuple)):
-                ok = isinstance(value, tuple) and all(_is_int(v) for v in value)
-            else:  # branch_blocks may also be one count for every exit
-                ok = _is_int(value)
-            if not ok:
-                raise ConfigError(f"model config {key!r} has the wrong type: {value!r}")
-        return cls(**d)
+        return from_fields(cls, d, "model config")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value checks by dataclass field annotation; JSON lists arrive as tuples
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: isinstance(v, float) or _is_int(v),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+    "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(
+        isinstance(x, float) or _is_int(x) for x in v),
+}
+
+
+def from_fields(cls, doc: dict, where: str, **fixed):
+    """Dataclass `cls` from the JSON object `doc` plus the caller's `fixed`
+    fields. Every key of `doc` must be one of the other fields, every field
+    without a default must be given, and each value must have the JSON type
+    its field's annotation names; anything else is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING
+               and f.default_factory is MISSING} - set(doc) - set(fixed)
+    if missing:
+        raise ConfigError(f"missing {where} keys: {sorted(missing)}")
+    doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    for key, value in doc.items():
+        if not any(_FIELD_CHECKS[t](value) for t in types[key].split(" | ")):
+            raise ConfigError(f"{where} {key!r} has the wrong type: {value!r}")
+    return cls(**doc, **fixed)
 
 
 def desk_config(**overrides) -> FamilyConfig:

@@ -111,14 +111,12 @@ def k_repeat_heads(x: Array, n_rep: int) -> Array:
 class Tensor:
     """An immutable-by-convention array plus its place in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_bwd")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 dtype=np.float32):
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data: Array = np.asarray(data, dtype=dtype)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[Array], None] | None = None
 
@@ -130,19 +128,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}, name={self.name})"
+        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    # convenience arithmetic used by tests and losses
+    # `+` and `*` as on arrays, so the block math runs on Tensors and arrays alike
     def __add__(self, other):
         return add(self, _as_tensor(other, self.dtype))
 
@@ -152,12 +141,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x, dtype) -> Tensor:

@@ -197,14 +197,14 @@ def test_criterion_06_decomposition_numerics():
     x = rng.standard_normal((8, 64))
     gram = x @ x.T
 
-    a, b = decompose(w, gram, rank=8)
+    a, b = decompose(w, gram).factors(8)
     recon = np.linalg.norm(w @ x - (a @ b) @ x) / np.linalg.norm(w @ x)
     full_rank_ok = recon < 1e-4
 
-    losses = [truncation_loss(w, gram, r) for r in range(1, 9)]
+    losses = [truncation_loss(decompose(w, gram), r) for r in range(1, 9)]
     monotone_ok = all(losses[i] >= losses[i + 1] - 1e-9 for i in range(7))
 
-    a3, b3 = decompose(w, np.eye(8), rank=3)
+    a3, b3 = decompose(w, np.eye(8)).factors(3)
     u, s, vt = np.linalg.svd(w)
     plain = u[:, :3] @ np.diag(s[:3]) @ vt[:3]
     eckart_ok = np.max(np.abs(a3 @ b3 - plain)) < 1e-5

@@ -207,16 +207,36 @@ def test_entries_checked_against_config(tmp_path, edit):
         load_checkpoint(tmp_path / "c")
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def _overwrite_first_value(blob, table, name, value):
+    offset = next(e["byte_offset"] for e in table if e["name"] == name)
+    raw = bytearray(blob.read_bytes())
+    raw[offset:offset + 4] = np.array([value], "<f4").tobytes()
+    blob.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing", "nan", "inf-moment"])
 def test_damaged_weights_rejected(tmp_path, damage):
-    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=10), seed=10)
+    model = init_model(desk_config(), seed=10)
+    optimizer = None
+    if damage == "inf-moment":
+        zeros = {n: np.zeros_like(p.data) for n, p in named_parameters(model)}
+        optimizer = OptimizerSnapshot(step=1, moments_m=zeros, moments_v=dict(zeros))
+    save_checkpoint(tmp_path / "c", model, seed=10, optimizer=optimizer)
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
     blob = tmp_path / "c" / "weights.bin"
     if damage == "truncated":
         blob.write_bytes(blob.read_bytes()[:blob.stat().st_size // 2])
-    else:
+    elif damage == "missing":
         blob.unlink()
+    elif damage == "nan":
+        _overwrite_first_value(blob, manifest["params"], "exits.0.blocks.0.w_up", np.nan)
+    else:
+        _overwrite_first_value(tmp_path / "c" / "optim.bin", manifest["optimizer"]["entries"],
+                               "exits.0.blocks.0.w_up::v", np.inf)
     with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "c")
+    assert cli_main(["eval", "--checkpoint", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "out")]) == 5
 
 
 @pytest.mark.parametrize("damage", [

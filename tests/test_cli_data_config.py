@@ -149,6 +149,36 @@ def test_mistyped_model_fields_rejected(tmp_path, key, value):
                      "--out", str(tmp_path / "out")]) == 5
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "batch", "abc"), ("train", "warmup_steps", None), ("train", "seq_len", 2.5),
+    ("compression", "ratio", "abc"), ("expansion", "target_branch", KeyError),
+    ("lambda", "total_steps", 5), ("paths", "out", 5), (None, "seed", "abc"),
+], ids=["batch-str", "warmup-null", "seq-len-float", "ratio-str", "no-target-branch",
+        "lambda-total-steps", "out-int", "seed-str"])
+def test_mistyped_run_config_exits_2(tmp_path, section, key, value):
+    # a one-step run on a real corpus: only the config can make it fail
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=4))
+    doc = desk_run_config(corpus)
+    doc["train"].update(total_steps=1, warmup_steps=0)
+    node = doc if section is None else doc.setdefault(section, {})
+    if value is KeyError:
+        del node[key]
+    else:
+        node[key] = value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_compress_target_branch_out_of_range_exits_2(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_doc()))
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=1), seed=1)
+    assert cli_main(["compress", "--config", str(cfg), "--checkpoint", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "o"), "--expansion.target_branch=5"]) == 2
+
+
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.json")

@@ -11,6 +11,7 @@ from familykit.compression import (CalibrationSet, MatrixGroup, allocate_ratios,
 from familykit.errors import ConfigError, DefinitenessError, IntegrityError
 from familykit.evaluation import branch_perplexity
 from familykit.expansion import ExpansionSpec, expand
+from familykit.linalg import cholesky_array
 from familykit.model import (BLOCK_MATRICES, Factored, desk_config, forward_branch,
                              get_weight_slot, init_model, named_parameters,
                              param_count)
@@ -87,15 +88,19 @@ def test_whiten_identity():
 
 
 def test_whiten_diagonal_svd_path():
-    wf = whiten(np.diag([4.0, 1.0]), method="svd")
+    # the zero pivot sends whitening down the SVD path, which clamps the
+    # zero singular value to 1e-8 * 4.0 before taking its root
+    wf = whiten(np.diag([4.0, 1.0, 0.0]))
     assert wf.path == "svd"
-    assert np.allclose(np.abs(wf.factor), np.diag([2.0, 1.0]), atol=1e-9)
+    assert np.allclose(np.abs(wf.factor), np.diag([2.0, 1.0, 2e-4]), atol=1e-9)
 
 
 def test_whiten_round_trip_random_spd():
-    gram = spd(6, seed=33)
-    for method in ("cholesky", "svd", "auto"):
-        wf = whiten(gram, method=method)
+    # 24 samples give a definite Gram (Cholesky), 3 a rank-3 one (SVD path)
+    for samples, path in ((None, "cholesky"), (3, "svd")):
+        gram = spd(6, seed=33, samples=samples)
+        wf = whiten(gram)
+        assert wf.path == path
         assert np.allclose(wf.factor @ wf.factor.T, gram, atol=1e-7 * np.abs(gram).max())
         assert np.linalg.norm(wf.inverse @ wf.factor - np.eye(6)) < 1e-5
 
@@ -107,7 +112,7 @@ def test_whiten_falls_back_on_rank_deficient(caplog):
         wf = whiten(gram)
     assert wf.path == "svd"
     with pytest.raises(DefinitenessError):
-        whiten(gram, method="cholesky")
+        cholesky_array(gram)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +124,14 @@ def test_full_rank_truncation_loss_negligible():
     x = rand((8, 40), 36)
     gram = x @ x.T
     wx_norm = np.linalg.norm(w @ x)
-    assert truncation_loss(w, gram, rank=6) <= 1e-4 * wx_norm
+    assert truncation_loss(decompose(w, gram), rank=6) <= 1e-4 * wx_norm
 
 
 def test_rank_one_matrix_lossless_at_any_rank():
     w = np.outer(rand(6, 37), rand(4, 38))
     gram = spd(4, 39)
     for r in (1, 2, 3):
-        assert truncation_loss(w, gram, r) < 1e-6
+        assert truncation_loss(decompose(w, gram), r) < 1e-6
 
 
 def test_identity_gram_matches_plain_svd_tail():
@@ -134,13 +139,13 @@ def test_identity_gram_matches_plain_svd_tail():
     s = np.linalg.svd(w, compute_uv=False)
     for r in (1, 3, 5, 7):
         expected = math.sqrt(float(np.sum(s[r:] ** 2)))
-        assert abs(truncation_loss(w, np.eye(8), r) - expected) < 1e-8
+        assert abs(truncation_loss(decompose(w, np.eye(8)), r) - expected) < 1e-8
 
 
 def test_truncation_loss_monotone_in_rank():
     w = rand((7, 9), 41)
     gram = spd(9, 42)
-    losses = [truncation_loss(w, gram, r) for r in range(1, 8)]
+    losses = [truncation_loss(decompose(w, gram), r) for r in range(1, 8)]
     assert all(losses[i] >= losses[i + 1] - 1e-9 for i in range(len(losses) - 1))
 
 
@@ -148,10 +153,33 @@ def test_gram_identity_matches_materialized_activations():
     w = rand((5, 6), 43)
     x = rand((6, 50), 44)
     gram = x @ x.T
-    a, b = decompose(w, gram, rank=3)
-    via_gram = truncation_loss(w, gram, 3)
+    a, b = decompose(w, gram).factors(3)
+    via_gram = truncation_loss(decompose(w, gram), 3)
     direct = np.linalg.norm(w @ x - (a @ b) @ x)
     assert abs(via_gram - direct) / max(direct, 1e-12) < 1e-5
+
+
+def test_svd_whitening_tail_loss_bounds_trace_loss():
+    # a rank-3 Gram takes the SVD whitening path, whose clamp lifts each
+    # singular value to at least 1e-8 * s_max: F @ F.T exceeds the Gram by
+    # at most that much, so the tail exceeds the Gram-identity loss by at
+    # most 1e-8 * max(s_max, 1) * ||W - W'||_F^2. The factors go through F^-1
+    # (condition number ~1e4 here), so both sides also carry rounding near
+    # 1e-9 relative; 1e-8 allows for it.
+    w = rand((6, 8), 60)
+    x = rand((8, 3), 61)
+    gram = x @ x.T
+    assert whiten(gram).path == "svd"
+    dec = decompose(w, gram)
+    s_max = float(np.linalg.svd(gram, compute_uv=False)[0])
+    for r in range(1, 6):
+        a, b = dec.factors(r)
+        diff = w - a @ b
+        trace = math.sqrt(max(float(np.trace(diff @ gram @ diff.T)), 0.0))
+        tail = truncation_loss(dec, r)
+        slack = 1e-8 * max(s_max, 1.0) * float(np.sum(diff ** 2))
+        assert trace <= tail * (1 + 1e-8)
+        assert tail <= math.sqrt(trace ** 2 + slack) * (1 + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +231,7 @@ def test_tiny_loss_is_clamped_not_crashing():
 
 def test_identity_gram_full_rank_reconstructs():
     w = rand((8, 6), 46)
-    a, b = decompose(w, np.eye(6), rank=6)
+    a, b = decompose(w, np.eye(6)).factors(6)
     assert np.linalg.norm(a @ b - w) / np.linalg.norm(w) < 1e-4
 
 
@@ -211,14 +239,14 @@ def test_rank_one_weight_reconstructs_exactly():
     w = np.outer(rand(6, 47), rand(5, 48))
     gram = spd(5, 49)
     for r in (1, 2, 4):
-        a, b = decompose(w, gram, rank=r)
+        a, b = decompose(w, gram).factors(r)
         assert np.linalg.norm(a @ b - w) < 1e-5
 
 
 def test_whitened_truncation_is_eckart_young_optimal():
     w = rand((8, 6), 50)
     gram = spd(6, 51)
-    a, b = decompose(w, gram, rank=3)
+    a, b = decompose(w, gram).factors(3)
     wf = whiten(gram)
     ours = np.linalg.norm((w - a @ b) @ wf.factor)
     u, s, vt = np.linalg.svd(w @ wf.factor)
@@ -229,7 +257,7 @@ def test_whitened_truncation_is_eckart_young_optimal():
 
 def test_identity_gram_matches_plain_truncated_svd():
     w = rand((8, 8), 52)
-    a, b = decompose(w, np.eye(8), rank=3)
+    a, b = decompose(w, np.eye(8)).factors(3)
     u, s, vt = np.linalg.svd(w)
     plain = u[:, :3] @ np.diag(s[:3]) @ vt[:3]
     assert np.max(np.abs(a @ b - plain)) < 1e-5
@@ -243,13 +271,11 @@ def test_rank_budget_formula():
     assert rank_for_ratio(8, 8, 0.0) == 4
 
 
-def test_decompose_factor_shapes_and_ratio_path():
+def test_decompose_factor_shapes():
     w = rand((32, 16), 53)
-    a, b = decompose(w, spd(16, 54), ratio=0.5)
     r = rank_for_ratio(32, 16, 0.5)
+    a, b = decompose(w, spd(16, 54)).factors(r)
     assert a.shape == (32, r) and b.shape == (r, 16)
-    with pytest.raises(ConfigError):
-        decompose(w, spd(16, 54))  # needs ratio or rank
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +298,20 @@ def test_plan_hits_forty_percent_with_integer_counts(plan_and_calib, expanded):
     assert plan.params_before == before and plan.params_after == after
     assert abs((before - after) / before - 0.4) <= 0.02
     assert all(e.rank >= 1 for e in plan.entries)
+
+
+def test_build_plan_decomposes_each_matrix_once(expanded, plan_and_calib, monkeypatch):
+    import familykit.compression as comp
+    _, calib = plan_and_calib
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(comp, "decompose", counting)
+    plan = build_plan(expanded, calib, 0.4)
+    assert len(calls) == len(plan.entries) == len(calib.grams)
 
 
 def test_plan_grouping_is_per_block_plus_heads(plan_and_calib):
@@ -317,7 +357,7 @@ def test_full_rank_plan_keeps_logits_close(expanded, plan_and_calib):
     for name, gram in calib.grams.items():
         w = get_weight_slot(expanded, name).data.T.astype(np.float64)
         rank = min(w.shape)
-        a, b = decompose(w, ridged(gram), rank=rank)
+        a, b = decompose(w, ridged(gram)).factors(rank)
         factors[name] = (a.astype(np.float32), b.astype(np.float32))
         entries.append(PlanEntry(name=name, l_min=0.0, score=1.0, ratio=0.0,
                                  rank=rank, params_before=w.size,
