@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import FamilialModel, forward_branch
 from .tensor import cross_entropy
 from .training import IGNORE_INDEX, targets_for
@@ -16,7 +16,9 @@ def branch_nll(model: FamilialModel, ids: np.ndarray, branch: int,
                window: int | None = None) -> tuple[float, int]:
     """Sum of next-token negative log-likelihoods over non-overlapping
     windows, and the number of scored positions."""
-    window = window or model.config.ctx_len
+    window = model.config.ctx_len if window is None else window
+    if window < 2:
+        raise ConfigError(f"eval window must be >= 2 tokens, got {window}")
     ids = np.asarray(ids, dtype=np.int64)
     n_windows = len(ids) // window
     if n_windows == 0:

@@ -52,6 +52,8 @@ class ExitPolicy:
             raise ConfigError(f"unknown decode mode {self.mode!r}")
         if self.backfill not in ("lazy", "always"):
             raise ConfigError(f"unknown backfill policy {self.backfill!r}")
+        if not np.isfinite(self.threshold):
+            raise ConfigError(f"exit threshold must be finite, got {self.threshold}")
         return exits
 
 
@@ -220,6 +222,8 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
     """
     cfg = model.config
     exits = policy.resolve_exits(cfg)
+    if max_new < 0:
+        raise InputError(f"max_new must be >= 0, got {max_new}")
     prompt = [int(t) for t in np.asarray(prompt, dtype=np.int64).reshape(-1)]
     if not prompt:
         raise InputError("prompt must be nonempty")

@@ -8,11 +8,13 @@ through the graph is bit-identical to one computed directly. The autodiff
 ops here and their kernels in `familykit.kernels` share names, so the model
 writes its block math once over either module (see `model.block_forward`).
 
-All matrix products go through `np.einsum` without the optimizer: its
-accumulation order for a given output element depends only on the
-contracted extent, never on how many other rows are computed in the same
-call. That row-stability is what makes incremental decoding bit-equal to
-full-prefix forward passes.
+Every forward matrix product goes through `k_matmul`, which is `np.einsum`
+without the optimizer: its accumulation order for a given output element
+depends only on the contracted extent, never on how many other rows are
+computed in the same call. That row-stability is what makes incremental
+decoding bit-equal to full-prefix forward passes. Gradients are never
+compared against a cached forward, so `matmul`'s backward uses `np.matmul`
+(BLAS), several times faster on these shapes but not row-stable.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ def k_matmul(a: Array, b: Array) -> Array:
         return out.reshape(*lead, b.shape[-1])
     if a.ndim == 4 and b.ndim == 4:
         return np.einsum("bhij,bhjk->bhik", a, b)
-    if a.ndim == 3 and b.ndim == 3:
-        return np.einsum("bij,bjk->bik", a, b)
     raise ShapeError(f"unsupported matmul arity: {a.shape} @ {b.shape}")
 
 
@@ -229,20 +229,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = k_matmul(a.data, b.data)
 
     def bwd(g: Array) -> None:
+        a2, g2 = a.data, g
+        if b.data.ndim == 2:  # fold leading axes into rows: one BLAS call, not one per batch
+            a2, g2 = a2.reshape(-1, a2.shape[-1]), g.reshape(-1, g.shape[-1])
         if a.requires_grad:
-            if b.data.ndim == 2:
-                ga = k_matmul(g, np.ascontiguousarray(b.data.T))
-            else:
-                ga = np.einsum("...ik,...jk->...ij", g, b.data)
+            ga = (g2 @ np.swapaxes(b.data, -1, -2)).reshape(g.shape[:-1] + (b.data.shape[-2],))
             _accumulate(a, _reduce_broadcast(ga, a.data.shape))
         if b.requires_grad:
-            if b.data.ndim == 2:
-                g2 = g.reshape(-1, g.shape[-1])
-                a2 = a.data.reshape(-1, a.data.shape[-1])
-                gb = np.einsum("ij,ik->jk", a2, g2)
-            else:
-                gb = _reduce_broadcast(np.einsum("...ij,...ik->...jk", a.data, g), b.data.shape)
-            _accumulate(b, gb)
+            _accumulate(b, _reduce_broadcast(np.swapaxes(a2, -1, -2) @ g2, b.data.shape))
 
     return _make(out_data, (a, b), bwd)
 

@@ -276,6 +276,26 @@ def test_cli_analyze_rejects_bad_branch_and_text(tmp_path, args):
                      "--out", str(tmp_path / "a"), *args]) == 2
 
 
+@pytest.mark.parametrize("command,flag,bad", [
+    ("generate", "--tau", "nan"), ("generate", "--tau", "inf"), ("generate", "--max-new", "-1"),
+    ("eval", "--window", "0"), ("eval", "--window", "-1"),
+], ids=["tau-nan", "tau-inf", "max-new-negative", "window-zero", "window-negative"])
+def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=5))
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=2), seed=2)
+    argv = [command, "--checkpoint", str(tmp_path / "c")]
+    argv += ["--prompt", "the fox", "--max-new", "2"] if command == "generate" else \
+        ["--eval-corpus", str(corpus)]
+    artifact = "trace.jsonl" if command == "generate" else "eval.csv"
+    assert cli_main(argv + ["--out", str(tmp_path / "bad"), flag, bad]) == 2
+    assert not (tmp_path / "bad" / artifact).exists()
+    # the same command with a valid value runs, so the exit above is the flag's
+    good = {"--tau": "0.5", "--max-new": "0", "--window": "2"}[flag]
+    assert cli_main(argv + ["--out", str(tmp_path / "good"), flag, good]) == 0
+    assert (tmp_path / "good" / artifact).exists()
+
+
 def test_cli_exit_codes(mini_pipeline, tmp_path):
     root, cfg = mini_pipeline["root"], mini_pipeline["cfg"]
     # config error: unknown override key

@@ -208,10 +208,27 @@ def fd_check(build_loss, params, rtol=1e-3, atol=1e-7):
             f"grad mismatch: max abs diff {np.max(np.abs(a - b))}"
 
 
-def test_grad_matmul_and_add():
-    a = Tensor(rand((3, 4), 1, np.float64), requires_grad=True, dtype=np.float64)
-    b = Tensor(rand((4, 2), 2, np.float64), requires_grad=True, dtype=np.float64)
-    fd_check(lambda: sum_all(mul(matmul(a, b), matmul(a, b))), [a, b])
+@pytest.mark.parametrize("a_shape,b_shape,dtype", [
+    ((3, 4), (4, 2), np.float64),
+    ((2, 3, 4), (4, 5), np.float64),               # apply_linear
+    ((2, 2, 3, 4), (2, 2, 4, 3), np.float64),      # attention scores and context
+    ((8, 16, 32), (32, 24), np.float32),
+], ids=["2d-2d", "3d-2d", "4d-4d", "3d-2d-float32"])
+def test_grad_matmul_and_add(a_shape, b_shape, dtype):
+    a = Tensor(rand(a_shape, 1, dtype), requires_grad=True, dtype=dtype)
+    b = Tensor(rand(b_shape, 2, dtype), requires_grad=True, dtype=dtype)
+    build_loss = lambda: sum_all(mul(matmul(a, b), matmul(a, b)))
+    if dtype == np.float64:
+        fd_check(build_loss, [a, b])
+        return
+    # float32 gradients stay float32 and match a float64 einsum reference
+    backward(build_loss())
+    a64, b64 = a.data.astype(np.float64), b.data.astype(np.float64)
+    g = 2.0 * np.einsum("btk,kn->btn", a64, b64)
+    for got, ref in [(a.grad, np.einsum("btn,kn->btk", g, b64)),
+                     (b.grad, np.einsum("btk,btn->kn", a64, g))]:
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
 
 
 def test_grad_rmsnorm():

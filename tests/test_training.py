@@ -1,12 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, tiny_config, unigram_entropy
+from conftest import desk_run_config, make_corpus, tiny_config, unigram_entropy
 
+import familykit
 from familykit.data import WindowSampler
 from familykit.errors import ConfigError, DivergenceError
 from familykit.model import (desk_config, forward_all_branches, init_model,
@@ -272,6 +278,30 @@ def test_metrics_csv_schema(tmp_path):
     assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
     rows_with_arm = metrics_rows(state.metrics, arm="clone")
     assert rows_with_arm[0].endswith(",clone")
+
+
+def test_training_identical_across_processes(tmp_path):
+    # gradients run through BLAS; with its thread count pinned, a fresh process
+    # must reproduce the parameters, optimizer moments and metrics byte for byte
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(16 * 1024, seed=9))
+    doc = desk_run_config(corpus)
+    doc["train"].update(total_steps=6, warmup_steps=2)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(familykit.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = []
+    for name in ("one", "two"):
+        subprocess.run([sys.executable, "-m", "familykit.cli", "train", "--config", str(cfg),
+                        "--out", str(tmp_path / name)], env=env, check=True,
+                       capture_output=True, timeout=300)
+        out = tmp_path / name
+        files = sorted((out / "checkpoint").iterdir()) + [out / "metrics.csv"]
+        runs.append({f.name: f.read_bytes() for f in files})
+    assert {"weights.bin", "optim.bin", "metrics.csv"} <= set(runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_warning_when_everything_frozen(caplog):
