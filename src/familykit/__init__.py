@@ -22,11 +22,11 @@ from .expansion import (AblationResult, ExpansionReport, ExpansionSpec, ablation
                         expand, layer_cosine_similarity, verify_identity)
 from .inference import (ExitPolicy, GenerationTrace, TokenRecord, confidence,
                         exit_histogram, generate)
-from .model import (CallCounter, ExitHead, Factored, FamilialModel, FamilyConfig,
-                    desk_config, extract_submodel, forward_all_branches, forward_branch,
-                    init_model, named_parameters, param_count, set_freeze)
+from .model import (ExitHead, Factored, FamilialModel, FamilyConfig, desk_config,
+                    extract_submodel, forward_all_branches, forward_branch, init_model,
+                    named_parameters, param_count, set_freeze)
 from .rng import SplitRng
-from .tensor import Graph, Tensor, backward, cross_entropy, matmul, rmsnorm, softmax
+from .tensor import Tensor, backward, cross_entropy, matmul, rmsnorm
 from .training import (LambdaSchedule, StepMetrics, TrainConfig, TrainState, joint_loss,
                        lambda_at, lr_at, run_training, train_step)
 

@@ -1,8 +1,9 @@
 """familykit command line: train | expand | compress | eval | generate | analyze | export.
 
 Every command is a pure function of (config, inputs, seed); artifacts land
-under --out. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric or
-divergence error, 5 integrity error.
+under --out. Exit codes: 0 ok, 2 config error (including a path that
+cannot be read or written), 3 data error, 4 numeric or divergence error,
+5 integrity error.
 """
 
 from __future__ import annotations
@@ -345,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except FamilyKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

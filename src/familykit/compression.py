@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
 from .linalg import cholesky_array, svd_array
-from .model import (Factored, FamilialModel, copy_model, forward_all_branches,
-                    get_weight_slot, named_parameters, param_count, set_weight_slot)
+from .model import (Factored, FamilialModel, copy_model, forward_exits, get_weight_slot,
+                    named_parameters, param_count, set_weight_slot)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -64,7 +65,7 @@ class CalibrationSet:
 def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
                         scope) -> CalibrationSet:
     """Accumulate input Grams for every matrix selected by `scope` over
-    calibration forward passes (all branches, fixed order)."""
+    calibration forward passes (all branches, fixed order, no graph)."""
     calib_tokens = np.asarray(calib_tokens, dtype=np.int64)
     if calib_tokens.ndim == 1:
         calib_tokens = calib_tokens[None, :]
@@ -76,8 +77,9 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
         if scope(name):
             calib.add(name, x)
 
+    branches = list(range(model.config.n_branches))
     for start in range(0, calib_tokens.shape[0], 8):
-        forward_all_branches(model, calib_tokens[start:start + 8], tap=tap)
+        forward_exits(model, calib_tokens[start:start + 8], branches, tap=tap, ops=kernels)
     if not calib.grams:
         raise ConfigError("scope selected no matrices during calibration")
     return calib

@@ -1,12 +1,18 @@
-"""Full-sequence causal evaluation: per-branch NLL and perplexity."""
+"""Full-sequence causal evaluation: per-branch NLL and perplexity.
+
+Evaluation trains nothing, so its forward runs on the raw kernels of
+`familykit.kernels` and builds no graph; the logits and the loss are the
+values the autodiff path of training computes, bit for bit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, DataError
-from .model import FamilialModel, forward_branch
-from .tensor import cross_entropy
+from .model import FamilialModel, forward_exits
+from .tensor import k_cross_entropy
 from .training import IGNORE_INDEX, targets_for
 
 EVAL_BATCH = 64
@@ -30,9 +36,8 @@ def branch_nll(model: FamilialModel, ids: np.ndarray, branch: int,
         batch = rows[start:start + EVAL_BATCH]
         targets = targets_for(batch)
         n_eff = int((targets != IGNORE_INDEX).sum())
-        logits = forward_branch(model, batch, branch)
-        loss = cross_entropy(logits, targets, ignore_index=IGNORE_INDEX)
-        total += float(loss.data) * n_eff
+        logits = forward_exits(model, batch, [branch], ops=kernels)[0]
+        total += float(k_cross_entropy(logits, targets, IGNORE_INDEX)) * n_eff
         count += n_eff
     return total, count
 

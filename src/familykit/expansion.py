@@ -16,12 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .data import ByteTokenizer
 from .errors import ConfigError
 from .model import (BLOCK_MATRICES, BLOCK_NORMS, FamilialModel, FamilyConfig, copy_model,
-                    forward_branch, forward_exits, init_block, param_count, set_freeze)
+                    forward_exits, init_block, param_count, set_freeze)
 from .rng import SplitRng
-from .tensor import Tensor
 from .training import (LambdaSchedule, TrainConfig, TrainState, run_training)
 
 log = logging.getLogger(__name__)
@@ -74,9 +74,10 @@ def _new_block(cfg: FamilyConfig, model: FamilialModel, spec: ExpansionSpec, ind
     else:
         block = init_block(cfg, rng, f"new.{index}", std=spec.gaussian_std)
     # zero-residual constraint: the block's two output projections start at
-    # zero, so its residual contribution is exactly zero at step 0
-    block.w_o = Tensor(np.zeros_like(block.w_o.data), requires_grad=True)
-    block.w_down = Tensor(np.zeros_like(block.w_down.data), requires_grad=True)
+    # zero (dense, even where a cloned source was factored), so its residual
+    # contribution is exactly zero at step 0
+    zero = init_block(cfg, None, "zero")
+    block.w_o, block.w_down = zero.w_o, zero.w_down
     return block
 
 
@@ -130,9 +131,9 @@ def verify_identity(base_model: FamilialModel, expanded_model: FamilialModel,
                                                   expanded_model.config.branch_blocks))
                  if a != b]
         branch = diffs[0] if diffs else base_model.config.n_branches - 1
-    base = forward_branch(base_model, probe_batch, branch)
-    grown = forward_branch(expanded_model, probe_batch, branch)
-    return float(np.max(np.abs(grown.data - base.data)))
+    base = forward_exits(base_model, probe_batch, [branch], ops=kernels)[0]
+    grown = forward_exits(expanded_model, probe_batch, [branch], ops=kernels)[0]
+    return float(np.max(np.abs(grown - base)))
 
 
 def token_cosines(h_in: np.ndarray, h_out: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -173,10 +174,10 @@ def layer_cosine_similarity(model: FamilialModel, text_tokens: np.ndarray,
         raise ConfigError("text must be nonempty")
     cosines: list[tuple[str, np.ndarray, bool]] = []
 
-    def record(name: str, h_in: Tensor, h_out: Tensor) -> None:
-        cosines.append((name, *token_cosines(h_in.data[0], h_out.data[0])))
+    def record(name: str, h_in: np.ndarray, h_out: np.ndarray) -> None:
+        cosines.append((name, *token_cosines(h_in[0], h_out[0])))
 
-    forward_exits(model, tokens, [branch], on_block=record)
+    forward_exits(model, tokens, [branch], on_block=record, ops=kernels)
     labels = [name for name, _, _ in cosines]
     scores = np.array([row for _, row, _ in cosines]).reshape(len(cosines), tokens.shape[1])
     degenerate = any(bad for _, _, bad in cosines)

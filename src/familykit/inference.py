@@ -54,6 +54,8 @@ class ExitPolicy:
             raise ConfigError(f"unknown backfill policy {self.backfill!r}")
         if not np.isfinite(self.threshold):
             raise ConfigError(f"exit threshold must be finite, got {self.threshold}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         return exits
 
 
@@ -207,7 +209,7 @@ class GenState:
 def _decode_token(logits: np.ndarray, policy: ExitPolicy, rng: SplitRng | None) -> int:
     if policy.mode == "greedy":
         return int(np.argmax(logits))  # argmax takes the lowest index on ties
-    probs = k_softmax(np.asarray(logits, np.float64) / max(policy.temperature, 1e-6), axis=-1)
+    probs = k_softmax(np.asarray(logits, np.float64) / policy.temperature, axis=-1)
     return rng.choice_from_probs(probs)
 
 

@@ -1,19 +1,21 @@
-"""Raw-array versions of the block ops of `familykit.tensor`, same names.
+"""Raw-array versions of the forward ops of `familykit.tensor`, same names.
 
 The compute ops are the very `k_*` kernels that the autodiff ops wrap;
 `param`, `reshape` and `transpose` give the values and memory layout of
-their autodiff namesakes without recording a graph. Cached decoding runs
-`model.block_forward` over this module, training and evaluation over
-`tensor`, so the two paths agree bit for bit.
+their autodiff namesakes without recording a graph. Training runs
+`model.forward_exits` over `tensor`; evaluation, calibration, the identity
+check, analysis and cached decoding run it (or `model.block_forward`) over
+this module, so every path agrees bit for bit and only training builds a
+graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, k_masked_softmax as masked_softmax, k_matmul as matmul,
-                     k_repeat_heads as repeat_heads, k_rmsnorm as rmsnorm, k_rope as rope,
-                     k_silu as silu)
+from .tensor import (Tensor, k_embedding as embedding, k_masked_softmax as masked_softmax,
+                     k_matmul as matmul, k_repeat_heads as repeat_heads,
+                     k_rmsnorm as rmsnorm, k_rope as rope, k_silu as silu)
 
 Array = np.ndarray
 

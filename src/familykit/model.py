@@ -7,10 +7,11 @@ Sub-models at different exits are therefore nested prefixes of one
 parameter store, never copies.
 
 `weight_slots` is the one walk of that store. `block_forward` is the one
-statement of the block math, over an op module the caller picks: training
-and evaluation pass the autodiff ops of `tensor`, cached decoding the raw
-kernels of `kernels` that those ops wrap, so both compute the same values
-bit for bit.
+statement of the block math and `forward_exits` the one forward loop, both
+over an op module the caller picks: training passes the autodiff ops of
+`tensor`; evaluation, calibration, the identity check, analysis and cached
+decoding pass the raw kernels of `kernels` that those ops wrap. Both
+compute the same values bit for bit, and only training builds a graph.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import tensor
 from .errors import ConfigError, InputError
 from .rng import SplitRng
-from .tensor import Tensor, causal_mask, embedding, rope_tables
+from .tensor import Tensor, causal_mask, rope_tables
 
 INIT_STD = 0.02
 
@@ -201,16 +202,6 @@ class FamilialModel:
     freeze_mask: dict[str, bool] = field(default_factory=dict)  # True = frozen
 
 
-class CallCounter:
-    """Counts block applications; attach one to a forward call to audit reuse."""
-
-    def __init__(self):
-        self.blocks = 0
-
-    def tick(self):
-        self.blocks += 1
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -363,14 +354,6 @@ def copy_model(model: FamilialModel) -> FamilialModel:
     return clone
 
 
-def cast_model(model: FamilialModel, dtype) -> FamilialModel:
-    """Copy of the model with every parameter in `dtype` (test twins)."""
-    out = copy_model(model)
-    for _, p in named_parameters(out):
-        p.data = p.data.astype(dtype)
-    return out
-
-
 def extract_submodel(model: FamilialModel, branch: int) -> FamilialModel:
     """Standalone single-exit copy: backbone prefix plus the chosen head."""
     cfg = model.config
@@ -394,15 +377,14 @@ def apply_linear(x, w: Weight, name: str | None = None,
                  tap: Callable[[str, np.ndarray], None] | None = None,
                  ops: ModuleType = tensor):
     if tap is not None and name is not None:
-        tap(name, x.data)
+        tap(name, x)
     if isinstance(w, Factored):
         return ops.matmul(ops.matmul(x, ops.param(w.b)), ops.param(w.a))
     return ops.matmul(x, ops.param(w))
 
 
 def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
-                  cos: np.ndarray, sin: np.ndarray, allowed: np.ndarray,
-                  counter: CallCounter | None = None, name: str = "",
+                  cos: np.ndarray, sin: np.ndarray, allowed: np.ndarray, name: str = "",
                   tap: Callable[[str, np.ndarray], None] | None = None,
                   ops: ModuleType = tensor, kv=None):
     """One pre-norm decoder block: causal GQA attention then gated MLP.
@@ -413,8 +395,6 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     values of these rows and returns the ones to attend over; cached
     decoding uses it to write its cache and read back the whole prefix.
     """
-    if counter is not None:
-        counter.tick()
     b, t, _ = h.shape
     dh, hq, hkv = cfg.head_dim, cfg.q_heads, cfg.kv_heads
 
@@ -452,15 +432,16 @@ def head_logits(head: ExitHead, h, cfg: FamilyConfig, branch: int,
 
 
 def forward_exits(model: FamilialModel, tokens, branches: list[int],
-                  counter: CallCounter | None = None, pos_offset: int = 0,
                   tap: Callable[[str, np.ndarray], None] | None = None,
-                  on_block: Callable[[str, Tensor, Tensor], None] | None = None) -> list[Tensor]:
+                  on_block: Callable[[str, object, object], None] | None = None,
+                  ops: ModuleType = tensor) -> list:
     """Logits of `branches` (ascending) over a (B, T) token batch from one pass.
 
     The backbone runs only as deep as the deepest requested exit; each
     branch's blocks and head run off the residual stream tapped at its exit
-    depth, so no block runs twice. `on_block(name, h_in, h_out)` sees every
-    block application.
+    depth, so no block runs twice. Values are Tensors under `tensor` and
+    arrays under `kernels`: `tap(name, x)` sees the input of every linear
+    slot and `on_block(name, h_in, h_out)` every block application.
     """
     cfg = model.config
     for k in branches:
@@ -472,22 +453,22 @@ def forward_exits(model: FamilialModel, tokens, branches: list[int],
     t = tokens.shape[1]
     if t > cfg.ctx_len:
         raise InputError(f"sequence length {t} exceeds ctx_len {cfg.ctx_len}")
-    cos, sin = rope_tables(np.arange(pos_offset, pos_offset + t), cfg.head_dim,
-                           cfg.rope_base, dtype=model.embedding.data.dtype)
+    cos, sin = rope_tables(np.arange(t), cfg.head_dim, cfg.rope_base,
+                           dtype=model.embedding.data.dtype)
     allowed = causal_mask(t, t)
 
-    def run(block: BlockWeights, h: Tensor, name: str) -> Tensor:
-        out = block_forward(block, h, cfg, cos, sin, allowed, counter, name=name, tap=tap)
+    def run(block: BlockWeights, h, name: str):
+        out = block_forward(block, h, cfg, cos, sin, allowed, name=name, tap=tap, ops=ops)
         if on_block is not None:
             on_block(name, h, out)
         return out
 
-    def exit_head(k: int, h: Tensor) -> Tensor:
+    def exit_head(k: int, h):
         for j, block in enumerate(model.exits[k].blocks):
             h = run(block, h, f"exits.{k}.blocks.{j}")
-        return head_logits(model.exits[k], h, cfg, k, tap)
+        return head_logits(model.exits[k], h, cfg, k, tap, ops)
 
-    h = embedding(model.embedding, tokens)
+    h = ops.embedding(ops.param(model.embedding), tokens)
     outs = []
     for depth in range(cfg.exit_depths[branches[-1]] + 1):
         if depth:
@@ -496,17 +477,12 @@ def forward_exits(model: FamilialModel, tokens, branches: list[int],
     return outs
 
 
-def forward_branch(model: FamilialModel, tokens, branch: int,
-                   counter: CallCounter | None = None, pos_offset: int = 0,
-                   tap: Callable[[str, np.ndarray], None] | None = None) -> Tensor:
+def forward_branch(model: FamilialModel, tokens, branch: int) -> Tensor:
     """Logits (B, T, vocab) of one branch: backbone prefix plus its head."""
-    return forward_exits(model, tokens, [branch], counter, pos_offset, tap)[0]
+    return forward_exits(model, tokens, [branch])[0]
 
 
-def forward_all_branches(model: FamilialModel, tokens,
-                         counter: CallCounter | None = None,
-                         tap: Callable[[str, np.ndarray], None] | None = None) -> list[Tensor]:
+def forward_all_branches(model: FamilialModel, tokens) -> list[Tensor]:
     """All branch logits from exactly one backbone pass (hidden states are
     tapped at each exit depth, never recomputed)."""
-    return forward_exits(model, tokens, list(range(model.config.n_branches)), counter,
-                         tap=tap)
+    return forward_exits(model, tokens, list(range(model.config.n_branches)))

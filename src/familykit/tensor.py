@@ -1,12 +1,14 @@
-"""Dense tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation, for training.
 
 Values are numpy arrays (float32 by default, float64 supported for test
 twins); every operation is a pure function that records its parents and a
 backward closure on the output. The numeric kernels live in module-level
-`k_*` functions shared with the no-grad inference path, so a value computed
-through the graph is bit-identical to one computed directly. The autodiff
-ops here and their kernels in `familykit.kernels` share names, so the model
-writes its block math once over either module (see `model.block_forward`).
+`k_*` functions, and each autodiff op computes its value by its kernel, so
+a value computed through the graph is bit-identical to one computed
+directly. Only training runs on these ops. Evaluation, calibration, the
+identity check, analysis and decoding run the same kernels without a graph
+through `familykit.kernels`, whose names match the ops here, so the model
+writes its math once over either module (see `model.forward_exits`).
 
 Every forward matrix product goes through `k_matmul`, which is `np.einsum`
 without the optimizer: its accumulation order for a given output element
@@ -19,7 +21,7 @@ compared against a cached forward, so `matmul`'s backward uses `np.matmul`
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# numeric kernels (no autodiff; shared with inference)
+# numeric kernels (no autodiff; `familykit.kernels` exports them for graph-free forwards)
 # ---------------------------------------------------------------------------
 
 def k_matmul(a: Array, b: Array) -> Array:
@@ -45,9 +47,15 @@ def k_matmul(a: Array, b: Array) -> Array:
     raise ShapeError(f"unsupported matmul arity: {a.shape} @ {b.shape}")
 
 
-def k_rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
+def _rmsnorm(x: Array, gamma: Array, eps: float) -> tuple[Array, Array]:
+    """`k_rmsnorm` and the inverse RMS that its gradient reuses."""
     inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.asarray(eps, x.dtype))
-    return x * inv.astype(x.dtype) * gamma
+    inv = inv.astype(x.dtype)
+    return x * inv * gamma, inv
+
+
+def k_rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
+    return _rmsnorm(x, gamma, eps)[0]
 
 
 def k_softmax(x: Array, axis: int) -> Array:
@@ -76,9 +84,14 @@ def k_masked_softmax(scores: Array, allowed: Array) -> Array:
     return e / den
 
 
-def k_silu(x: Array) -> Array:
+def _silu(x: Array) -> tuple[Array, Array]:
+    """`k_silu` and the sigmoid that its gradient reuses."""
     sig = 1.0 / (1.0 + np.exp(-x))
-    return x * sig
+    return x * sig, sig
+
+
+def k_silu(x: Array) -> Array:
+    return _silu(x)[0]
 
 
 def k_rope(x: Array, cos: Array, sin: Array) -> Array:
@@ -94,6 +107,36 @@ def rope_tables(positions: Array, head_dim: int, base: float, dtype=np.float32):
     inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
     ang = np.asarray(positions, np.float64)[:, None] * inv_freq[None, :]
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+
+
+def k_embedding(table: Array, ids: Array) -> Array:
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise InputError(f"token id out of range [0, {table.shape[0]})")
+    return table[ids]
+
+
+def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np.float64:
+    """Mean negative log-softmax of target classes over non-ignored positions.
+
+    The per-position reductions run in float64 and the result stays float64
+    so that downstream loss aggregation is stable.
+    """
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ShapeError(f"targets {targets.shape} do not match logits {logits.shape[:-1]}")
+    vocab = logits.shape[-1]
+    keep = targets != ignore_index
+    if not keep.any():
+        raise DegenerateBatchError("cross_entropy over zero effective positions")
+    if targets[keep].min() < 0 or targets[keep].max() >= vocab:
+        raise InputError("target id outside [0, vocab)")
+    flat = logits.reshape(-1, vocab).astype(np.float64)
+    kflat = keep.reshape(-1)
+    m = np.max(flat, axis=-1)
+    lse = m + np.log(np.sum(np.exp(flat - m[:, None]), axis=-1))
+    nll = lse - flat[np.arange(flat.shape[0]), np.where(kflat, targets.reshape(-1), 0)]
+    return np.float64(nll[kflat].sum() / kflat.sum())
 
 
 def k_repeat_heads(x: Array, n_rep: int) -> Array:
@@ -179,36 +222,28 @@ def _reduce_broadcast(g: Array, shape) -> Array:
     return g
 
 
-class Graph:
-    """Topologically ordered view of the computation reaching a root tensor."""
-
-    def __init__(self, root: Tensor):
-        self.root = root
-        self.nodes: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                self.nodes.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-
-
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; accumulates into `.grad`."""
     if loss.data.shape != ():
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise GraphError("loss is detached from every trainable parameter")
-    graph = Graph(loss)
+    order: list[Tensor] = []  # every node after all of its parents
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(graph.nodes):
+    for node in reversed(order):
         if node._bwd is not None:
             node._bwd(node.grad)
             node.grad = None  # free intermediate grads; leaves keep theirs
@@ -242,39 +277,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data + b.data, (a, b), None)
-
     def bwd(g: Array) -> None:
         if a.requires_grad:
             _accumulate(a, _reduce_broadcast(g, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _reduce_broadcast(g, b.data.shape))
 
-    out._bwd = bwd if out.requires_grad else None
-    return out
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data * b.data, (a, b), None)
-
     def bwd(g: Array) -> None:
         if a.requires_grad:
             _accumulate(a, _reduce_broadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _reduce_broadcast(g * a.data, b.data.shape))
 
-    out._bwd = bwd if out.requires_grad else None
-    return out
+    return _make(a.data * b.data, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = _make(a.data * np.asarray(s, a.data.dtype), (a,), None)
-
     def bwd(g: Array) -> None:
         _accumulate(a, g * np.asarray(s, a.data.dtype))
 
-    out._bwd = bwd if out.requires_grad else None
-    return out
+    return _make(a.data * np.asarray(s, a.data.dtype), (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -297,8 +323,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out_data = a.data * sig
+    out_data, sig = _silu(a.data)
 
     def bwd(g: Array) -> None:
         _accumulate(a, g * (sig * (1.0 + a.data * (1.0 - sig))))
@@ -310,9 +335,7 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
     """y = x / sqrt(mean(x^2) + eps) * gamma over the last axis."""
     if eps <= 0:
         raise InputError("rmsnorm eps must be > 0")
-    inv = (1.0 / np.sqrt(np.mean(np.square(x.data), axis=-1, keepdims=True)
-                         + np.asarray(eps, x.data.dtype))).astype(x.data.dtype)
-    out_data = x.data * inv * gamma.data
+    out_data, inv = _rmsnorm(x.data, gamma.data, eps)
 
     def bwd(g: Array) -> None:
         d = x.data.shape[-1]
@@ -325,19 +348,6 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
             _accumulate(gamma, gain_grad.reshape(-1, d).sum(axis=0))
 
     return _make(out_data, (x, gamma), bwd)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; rejects non-finite inputs outright."""
-    if not np.all(np.isfinite(x.data)):
-        raise InputError("softmax requires finite inputs")
-    p = k_softmax(x.data, axis)
-
-    def bwd(g: Array) -> None:
-        dot = np.sum(g * p, axis=axis, keepdims=True)
-        _accumulate(x, p * (g - dot))
-
-    return _make(p, (x,), bwd)
 
 
 def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
@@ -371,7 +381,6 @@ def rope(x: Tensor, cos: Array, sin: Array) -> Tensor:
 
 
 def repeat_heads(x: Tensor, n_rep: int) -> Tensor:
-    out_data = k_repeat_heads(x.data, n_rep)
     if n_rep == 1:
         return x
 
@@ -379,14 +388,12 @@ def repeat_heads(x: Tensor, n_rep: int) -> Tensor:
         b, h, t, d = x.data.shape
         _accumulate(x, g.reshape(b, h, n_rep, t, d).sum(axis=2))
 
-    return _make(out_data, (x,), bwd)
+    return _make(k_repeat_heads(x.data, n_rep), (x,), bwd)
 
 
 def embedding(table: Tensor, ids: Array) -> Tensor:
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise InputError(f"token id out of range [0, {table.data.shape[0]})")
-    out_data = table.data[ids]
+    out_data = k_embedding(table.data, ids)
 
     def bwd(g: Array) -> None:
         gt = np.zeros_like(table.data)
@@ -396,78 +403,18 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
     return _make(out_data, (table,), bwd)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    def bwd(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return _make(a.data.sum(), (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(g / np.asarray(n, a.data.dtype), a.data.shape))
-
-    return _make(a.data.mean(), (a,), bwd)
-
-
 def cross_entropy(logits: Tensor, targets: Array, ignore_index: int = -1) -> Tensor:
-    """Mean negative log-softmax of target classes over non-ignored positions.
-
-    The per-position reductions run in float64 and the returned scalar stays
-    float64 so that downstream loss aggregation is stable.
-    """
-    targets = np.asarray(targets)
-    if targets.shape != logits.data.shape[:-1]:
-        raise ShapeError(f"targets {targets.shape} do not match logits {logits.data.shape[:-1]}")
+    """`k_cross_entropy` as a float64 scalar Tensor with its gradient."""
+    loss = k_cross_entropy(logits.data, targets, ignore_index)
     vocab = logits.data.shape[-1]
-    keep = targets != ignore_index
-    if not keep.any():
-        raise DegenerateBatchError("cross_entropy over zero effective positions")
-    if targets[keep].min() < 0 or targets[keep].max() >= vocab:
-        raise InputError("target id outside [0, vocab)")
-
-    flat = logits.data.reshape(-1, vocab).astype(np.float64)
-    tflat = targets.reshape(-1)
-    kflat = keep.reshape(-1)
-    m = np.max(flat, axis=-1)
-    lse = m + np.log(np.sum(np.exp(flat - m[:, None]), axis=-1))
-    safe_t = np.where(kflat, tflat, 0)
-    nll = lse - flat[np.arange(flat.shape[0]), safe_t]
-    n_eff = int(kflat.sum())
-    loss = np.float64(nll[kflat].sum() / n_eff)
+    tflat = np.asarray(targets).reshape(-1)
+    kflat = tflat != ignore_index
 
     def bwd(g: Array) -> None:
         p = k_softmax(logits.data.reshape(-1, vocab), axis=-1).astype(np.float64)
-        p[np.arange(p.shape[0]), safe_t] -= 1.0
+        p[np.arange(p.shape[0]), np.where(kflat, tflat, 0)] -= 1.0
         p[~kflat] = 0.0
-        p *= float(g) / n_eff
+        p *= float(g) / int(kflat.sum())
         _accumulate(logits, p.reshape(logits.data.shape))
 
-    out = _make(np.asarray(loss), (logits,), bwd)
-    return out
-
-
-def finite_difference_grads(loss_fn: Callable[[], Tensor], params: Iterable[Tensor],
-                            h: float = 1e-3) -> dict[int, Array]:
-    """Central-difference gradients of `loss_fn` w.r.t. each parameter tensor.
-
-    Independent of the reverse-mode path: only re-evaluates the forward.
-    Returns a map keyed by id(param).
-    """
-    grads: dict[int, Array] = {}
-    for p in params:
-        g = np.zeros_like(p.data, dtype=np.float64)
-        flat = p.data.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(loss_fn().data)
-            flat[i] = orig - h
-            down = float(loss_fn().data)
-            flat[i] = orig
-            gf[i] = (up - down) / (2.0 * h)
-        grads[id(p)] = g
-    return grads
+    return _make(np.asarray(loss), (logits,), bwd)

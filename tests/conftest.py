@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from familykit.cli import main as cli_main
-from familykit.model import FamilyConfig, desk_config, init_model
+from familykit.model import (FamilialModel, FamilyConfig, copy_model, desk_config,
+                             init_model, named_parameters)
+from familykit.tensor import Tensor, matmul, reshape, scale
 from familykit.training import LambdaSchedule, TrainConfig, run_training
 
 NOUNS = ["fox", "box", "cat", "dog", "bird", "tree", "river", "stone", "house",
@@ -40,6 +42,45 @@ def unigram_entropy(data: bytes) -> float:
     counts = np.bincount(np.frombuffer(data, np.uint8), minlength=256).astype(np.float64)
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
+
+
+def sum_all(x: Tensor) -> Tensor:
+    """Scalar sum of every element, built from the autodiff matmul."""
+    flat = reshape(x, (1, -1))
+    return reshape(matmul(flat, Tensor(np.ones((flat.shape[1], 1)), dtype=x.dtype)), ())
+
+
+def mean_all(x: Tensor) -> Tensor:
+    return scale(sum_all(x), 1.0 / x.data.size)
+
+
+def finite_difference_grads(loss_fn, params, h: float = 1e-3) -> dict[int, np.ndarray]:
+    """Central-difference gradients of `loss_fn` w.r.t. each parameter tensor,
+    keyed by id(param). Independent of the reverse-mode path: only
+    re-evaluates the forward."""
+    grads = {}
+    for p in params:
+        g = np.zeros_like(p.data, dtype=np.float64)
+        flat = p.data.reshape(-1)
+        gf = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(loss_fn().data)
+            flat[i] = orig - h
+            down = float(loss_fn().data)
+            flat[i] = orig
+            gf[i] = (up - down) / (2.0 * h)
+        grads[id(p)] = g
+    return grads
+
+
+def cast_model(model: FamilialModel, dtype) -> FamilialModel:
+    """Copy of the model with every parameter in `dtype` (float64 twins)."""
+    out = copy_model(model)
+    for _, p in named_parameters(out):
+        p.data = p.data.astype(dtype)
+    return out
 
 
 def tiny_config(**overrides) -> FamilyConfig:

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import desk_run_config, make_corpus, unigram_entropy
+from conftest import (cast_model, desk_run_config, finite_difference_grads, make_corpus,
+                      unigram_entropy)
 
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.cli import main as cli_main
@@ -24,9 +25,9 @@ from familykit.errors import NumericError
 from familykit.evaluation import branch_perplexity
 from familykit.expansion import ExpansionSpec, expand, verify_identity
 from familykit.inference import ExitPolicy, generate
-from familykit.model import (FamilyConfig, cast_model, desk_config, extract_submodel,
+from familykit.model import (FamilyConfig, desk_config, extract_submodel,
                              forward_all_branches, init_model, named_parameters)
-from familykit.tensor import backward, cross_entropy, finite_difference_grads
+from familykit.tensor import backward, cross_entropy
 from familykit.training import joint_loss, targets_for
 
 

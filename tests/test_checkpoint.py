@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_corpus, tiny_config
+from conftest import cast_model, make_corpus, tiny_config
 
 from familykit.cli import main as cli_main
 from familykit.checkpoint import (OptimizerSnapshot, config_fingerprint,
@@ -11,8 +11,8 @@ from familykit.checkpoint import (OptimizerSnapshot, config_fingerprint,
 from familykit.compression import apply_compression, build_plan, capture_activations
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
-from familykit.model import (BLOCK_MATRICES, cast_model, desk_config, extract_submodel,
-                             forward_branch, get_weight_slot, init_model, named_parameters)
+from familykit.model import (BLOCK_MATRICES, desk_config, extract_submodel, forward_branch,
+                             get_weight_slot, init_model, named_parameters)
 from familykit.training import (LambdaSchedule, TrainConfig, TrainState, run_training,
                                 write_metrics_csv)
 

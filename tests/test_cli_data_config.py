@@ -278,8 +278,11 @@ def test_cli_analyze_rejects_bad_branch_and_text(tmp_path, args):
 
 @pytest.mark.parametrize("command,flag,bad", [
     ("generate", "--tau", "nan"), ("generate", "--tau", "inf"), ("generate", "--max-new", "-1"),
+    ("generate", "--temperature", "nan"), ("generate", "--temperature", "0"),
+    ("generate", "--temperature", "-1"),
     ("eval", "--window", "0"), ("eval", "--window", "-1"),
-], ids=["tau-nan", "tau-inf", "max-new-negative", "window-zero", "window-negative"])
+], ids=["tau-nan", "tau-inf", "max-new-negative", "temperature-nan", "temperature-zero",
+        "temperature-negative", "window-zero", "window-negative"])
 def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(make_corpus(8 * 1024, seed=5))
@@ -287,11 +290,13 @@ def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
     argv = [command, "--checkpoint", str(tmp_path / "c")]
     argv += ["--prompt", "the fox", "--max-new", "2"] if command == "generate" else \
         ["--eval-corpus", str(corpus)]
+    if flag == "--temperature":
+        argv.append("--sample")
     artifact = "trace.jsonl" if command == "generate" else "eval.csv"
     assert cli_main(argv + ["--out", str(tmp_path / "bad"), flag, bad]) == 2
     assert not (tmp_path / "bad" / artifact).exists()
     # the same command with a valid value runs, so the exit above is the flag's
-    good = {"--tau": "0.5", "--max-new": "0", "--window": "2"}[flag]
+    good = {"--tau": "0.5", "--max-new": "0", "--window": "2", "--temperature": "0.9"}[flag]
     assert cli_main(argv + ["--out", str(tmp_path / "good"), flag, good]) == 0
     assert (tmp_path / "good" / artifact).exists()
 
@@ -321,6 +326,29 @@ def test_cli_exit_codes(mini_pipeline, tmp_path):
     assert cli_main(["eval", "--config", str(cfg), "--checkpoint",
                      str(root / "x" / "checkpoint"), "--eval-corpus",
                      str(mini_pipeline["corpus"]), "--out", str(tmp_path / "o")]) == 5
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "corpus-is-a-directory",
+                                  "corpus-missing"])
+def test_cli_unusable_paths_exit_2(tmp_path, capsys, case):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(4 * 1024, seed=6))
+    out = tmp_path / "out"
+    if case == "out-is-a-file":
+        out.write_text("not a directory")
+    elif case == "corpus-is-a-directory":
+        corpus = tmp_path / "corpus-dir"
+        corpus.mkdir()
+    else:
+        corpus = tmp_path / "missing.txt"
+    doc = desk_run_config(corpus)
+    doc["train"].update(total_steps=2, warmup_steps=1, batch=2, seq_len=16)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_resume_reproduces_uninterrupted_run(mini_pipeline, tmp_path):

@@ -7,7 +7,7 @@ from familykit.errors import ConfigError
 from familykit.expansion import (ExpansionSpec, ablation_run, cosine_csv_rows, expand,
                                  layer_cosine_similarity, token_cosines,
                                  verify_identity)
-from familykit.model import (block_forward, desk_config, forward_branch, init_model,
+from familykit.model import (Factored, block_forward, desk_config, forward_branch, init_model,
                              named_parameters, param_count)
 from familykit.tensor import Tensor, causal_mask, rope_tables
 from familykit.training import (LambdaSchedule, TrainConfig, TrainState, run_training,
@@ -78,6 +78,21 @@ def test_clone_mode_copies_internals_then_zeroes_outputs(base_model):
     src = base_model.backbone[1]
     for mat in ("w_q", "w_k", "w_v", "w_gate", "w_up"):
         assert np.array_equal(getattr(new, mat).data, getattr(src, mat).data)
+    assert np.all(new.w_o.data == 0.0) and np.all(new.w_down.data == 0.0)
+    assert verify_identity(base_model, grown, _probe(6)) == 0.0
+
+
+def test_clone_of_factored_source_zeroes_outputs_dense(base_model):
+    # a compressed source block holds its output projections as factor pairs
+    src = base_model.backbone[1]
+    for slot in ("w_o", "w_down"):
+        w = getattr(src, slot).data
+        setattr(src, slot, Factored(b=Tensor(w[:, :2], requires_grad=True),
+                                    a=Tensor(np.eye(2, w.shape[1], dtype=np.float32),
+                                             requires_grad=True)))
+    grown, _ = expand(base_model, ExpansionSpec(target_branch=0, n_new_blocks=1,
+                                                init_mode="clone", clone_source=1, seed=6))
+    new = grown.exits[0].blocks[-1]
     assert np.all(new.w_o.data == 0.0) and np.all(new.w_down.data == 0.0)
     assert verify_identity(base_model, grown, _probe(6)) == 0.0
 

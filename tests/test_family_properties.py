@@ -1,0 +1,128 @@
+"""The exact contracts over randomly drawn small family shapes.
+
+Every contract here is bit for bit, on configurations drawn over n_layers
+1-4, any valid exit depths, 0-2 branch blocks per exit, a q/kv head ratio
+of 1, 2 or 4, head_dim 2-16, ctx_len 4-64, vocab 5-300 and mlp_mult 1-4,
+optionally with one linear slot replaced by a factored pair of random rank:
+
+- the forward over `kernels` equals the forward over the autodiff ops;
+- all branches from one pass equal each branch run alone;
+- cached early-exit decoding at tau 0, 0.5 and 1.5, lazy and always,
+  gives the logits of the extracted sub-model's full-prefix forward;
+- an expanded branch equals the original at init;
+- save -> load -> save gives identical bytes.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from familykit import kernels
+from familykit.checkpoint import load_checkpoint, save_checkpoint
+from familykit.expansion import ExpansionSpec, expand, verify_identity
+from familykit.inference import ExitPolicy, confidence, generate
+from familykit.model import (LINEAR_SLOTS, Factored, FamilyConfig, extract_submodel,
+                             forward_all_branches, forward_branch, forward_exits,
+                             get_weight_slot, init_model, set_weight_slot, weight_slots)
+from familykit.tensor import Tensor
+
+
+@st.composite
+def families(draw):
+    n_layers = draw(st.integers(1, 4))
+    exit_depths = tuple(d for d in range(1, n_layers) if draw(st.booleans())) + (n_layers,)
+    kv_heads = draw(st.integers(1, 2))
+    q_heads = kv_heads * draw(st.sampled_from([1, 2, 4]))
+    head_dim = draw(st.sampled_from([2, 4, 6, 8, 12, 16]))
+    cfg = FamilyConfig(
+        n_layers=n_layers, hidden=q_heads * head_dim, q_heads=q_heads, kv_heads=kv_heads,
+        vocab=draw(st.integers(5, 300)), ctx_len=draw(st.integers(4, 64)),
+        exit_depths=exit_depths,
+        branch_blocks=tuple(draw(st.integers(0, 2)) for _ in exit_depths),
+        mlp_mult=draw(st.integers(1, 4)))
+    model = init_model(cfg, seed=draw(st.integers(0, 2**32 - 1)))
+    # a larger head gain spreads the confidences, so tau 0.5 exits at mixed depths
+    gain = draw(st.sampled_from([1.0, 40.0]))
+    for head in model.exits:
+        head.lm_proj.data *= np.float32(gain)
+    if draw(st.booleans()):
+        slots = [name for name, _, attr in weight_slots(model) if attr in LINEAR_SLOTS]
+        name = draw(st.sampled_from(slots))
+        w = get_weight_slot(model, name).data
+        rank = draw(st.integers(1, min(w.shape)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        set_weight_slot(model, name, Factored(
+            b=Tensor(rng.standard_normal((w.shape[0], rank)) * 0.1, requires_grad=True),
+            a=Tensor(rng.standard_normal((rank, w.shape[1])) * 0.1, requires_grad=True)))
+    tokens = np.asarray(draw(st.lists(st.integers(0, cfg.vocab - 1), min_size=2,
+                                      max_size=min(cfg.ctx_len, 12))))
+    return model, tokens
+
+
+def _check_forwards(model, tokens):
+    n = model.config.n_branches
+    batch = np.stack([tokens, tokens[::-1]])
+    graph = forward_exits(model, batch, list(range(n)))
+    raw = forward_exits(model, batch, list(range(n)), ops=kernels)
+    for k in range(n):
+        assert np.array_equal(graph[k].data, raw[k])
+    for k, logits in enumerate(forward_all_branches(model, batch)):
+        assert np.array_equal(logits.data, forward_branch(model, batch, k).data)
+
+
+def _check_decoding(model, prompt, max_new):
+    subs = [extract_submodel(model, k) for k in range(model.config.n_branches)]
+    for tau in (0.0, 0.5, 1.5):
+        for backfill in ("lazy", "always"):
+            state_out = []
+            trace = generate(model, prompt, ExitPolicy(threshold=tau, backfill=backfill),
+                             max_new=max_new, state_out=state_out)
+            context = list(prompt)
+            for record in trace.records:
+                pos = len(context) - 1
+                for k, conf in enumerate(record.confidences):
+                    full = forward_branch(subs[k], np.asarray([context]), 0).data[0, -1]
+                    assert np.array_equal(full, state_out[0].exit_logits(k, pos))
+                    assert confidence(full) == conf
+                assert int(np.argmax(full)) == record.token_id
+                context.append(record.token_id)
+
+
+def _check_expansion(model, tokens, spec):
+    grown, _ = expand(model, spec)
+    probe = tokens[None]
+    assert verify_identity(model, grown, probe, spec.target_branch) == 0.0
+    assert np.array_equal(forward_branch(grown, probe, spec.target_branch).data,
+                          forward_branch(model, probe, spec.target_branch).data)
+
+
+def _check_round_trip(model):
+    with tempfile.TemporaryDirectory() as root:
+        first, second = Path(root) / "a", Path(root) / "b"
+        save_checkpoint(first, model, seed=3)
+        loaded, seed, _ = load_checkpoint(first)
+        save_checkpoint(second, loaded, seed)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(families(), st.data())
+def test_exact_contracts_hold_on_random_families(family, data):
+    model, tokens = family
+    cfg = model.config
+    _check_forwards(model, tokens)
+    prompt = tokens[:data.draw(st.integers(1, len(tokens)))].tolist()
+    _check_decoding(model, prompt, max_new=data.draw(st.integers(1, 6)))
+    _check_expansion(model, tokens, ExpansionSpec(
+        target_branch=data.draw(st.integers(0, cfg.n_branches - 1)),
+        n_new_blocks=data.draw(st.integers(1, 2)),
+        init_mode=data.draw(st.sampled_from(["randomized", "clone"])),
+        clone_source=data.draw(st.integers(0, cfg.n_layers - 1)),
+        seed=data.draw(st.integers(0, 1000))))
+    _check_round_trip(model)

