@@ -20,8 +20,7 @@ from .errors import (ConfigError, DataError, DefinitenessError, DegenerateBatchE
 from .evaluation import branch_nll, branch_perplexity
 from .expansion import (AblationResult, ExpansionReport, ExpansionSpec, ablation_run,
                         expand, layer_cosine_similarity, verify_identity)
-from .inference import (ExitPolicy, GenerationTrace, TokenRecord, confidence,
-                        exit_histogram, generate)
+from .inference import ExitPolicy, GenerationTrace, TokenRecord, confidence, generate
 from .model import (ExitHead, Factored, FamilialModel, FamilyConfig, desk_config,
                     extract_submodel, forward_all_branches, forward_branch, init_model,
                     named_parameters, param_count, set_freeze)

@@ -44,12 +44,18 @@ EXIT_INTEGRITY = 5
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
+    """The output directory, not yet created: a command that is rejected
+    before writing its first artifact leaves nothing behind."""
     out = args.out or (cfg.out if cfg else None)
     if not out:
         raise ConfigError("an output directory is required (--out or paths.out)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
+
+
+def _artifact(out: Path, name: str) -> Path:
+    """The path of artifact `name`, creating the output directory first."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _corpus_ids(cfg: RunConfig) -> np.ndarray:
@@ -94,8 +100,8 @@ def cmd_train(args) -> int:
                          until=args.stop_at)
     snapshot = OptimizerSnapshot(step=state.step, moments_m=state.moments_m,
                                  moments_v=state.moments_v)
-    save_checkpoint(out / "checkpoint", model, cfg.seed, optimizer=snapshot)
-    write_metrics_csv(out / "metrics.csv", state.metrics)
+    save_checkpoint(_artifact(out, "checkpoint"), model, cfg.seed, optimizer=snapshot)
+    write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
     final = state.metrics[-1] if state.metrics else None
     if final:
         print(f"trained {state.step} steps; final losses "
@@ -128,17 +134,17 @@ def cmd_expand(args) -> int:
     if args.ablate:
         result = ablation_run(model, ids, spec, cfg.train)
         for i, (arm, state) in enumerate(result.states.items()):
-            write_metrics_csv(out / "ablation.csv", state.metrics, arm=arm, append=i > 0)
+            write_metrics_csv(_artifact(out, "ablation.csv"), state.metrics, arm=arm, append=i > 0)
         state = result.states[spec.init_mode]
         print(f"ablation traces written to {out / 'ablation.csv'}")
     else:
         state = run_training(expanded, ids, cfg.train, schedule)
     trained = state.model
-    save_checkpoint(out / "checkpoint", trained, cfg.seed,
+    save_checkpoint(_artifact(out, "checkpoint"), trained, cfg.seed,
                     optimizer=OptimizerSnapshot(step=state.step, moments_m=state.moments_m,
                                                 moments_v=state.moments_v))
-    write_metrics_csv(out / "metrics.csv", state.metrics)
-    (out / "expansion_report.json").write_text(
+    write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
+    _artifact(out, "expansion_report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"added {report.added_params} parameters; trainable {len(report.trainable)} tensors")
     print(f"checkpoint: {out / 'checkpoint'}")
@@ -185,13 +191,13 @@ def cmd_compress(args) -> int:
     calib = capture_activations(model, calib_tokens, scope=lambda name: name in scope_names)
     plan = build_plan(model, calib, comp.ratio)
     compressed = apply_compression(model, plan)
-    (out / "plan.json").write_text(json.dumps(plan.to_dict(), indent=2) + "\n",
+    _artifact(out, "plan.json").write_text(json.dumps(plan.to_dict(), indent=2) + "\n",
                                    encoding="utf-8")
     eval_ids = load_corpus(cfg.eval_corpus) if cfg.eval_corpus else ids
     report = measure_compression(model, compressed, eval_ids,
                                  cfg.expansion.target_branch, plan)
-    (out / "measure.csv").write_text("\n".join(report.csv_rows()) + "\n", encoding="utf-8")
-    save_checkpoint(out / "checkpoint", compressed, seed)
+    _artifact(out, "measure.csv").write_text("\n".join(report.csv_rows()) + "\n", encoding="utf-8")
+    save_checkpoint(_artifact(out, "checkpoint"), compressed, seed)
     print(report.summary())
     print(f"achieved removal {plan.achieved_ratio:.2%} of target {comp.ratio:.0%} scope")
     print(f"checkpoint: {out / 'checkpoint'}")
@@ -212,7 +218,7 @@ def cmd_eval(args) -> int:
         ppl = branch_perplexity(model, ids, k, window=args.window)
         rows.append(f"{k},{model.config.exit_depths[k]},{ppl:.9g}")
         print(f"{k:>6} {model.config.exit_depths[k]:>6} {ppl:>12.4f}")
-    (out / "eval.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _artifact(out, "eval.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -229,7 +235,7 @@ def cmd_generate(args) -> int:
                         backfill=args.backfill)
     trace = generate(model, prompt, policy, max_new=args.max_new)
     text = tok.decode_text(trace.tokens)
-    (out / "trace.jsonl").write_text(trace.jsonl(), encoding="utf-8")
+    _artifact(out, "trace.jsonl").write_text(trace.jsonl(), encoding="utf-8")
     depths = [r.exit_depth for r in trace.records]
     print(text)
     mean_depth = (sum(depths) / len(depths)) if depths else float("nan")
@@ -246,7 +252,7 @@ def cmd_analyze(args) -> int:
     tokens = np.asarray([BOS] + list(tok.encode(args.text)))
     scores, labels, degenerate = layer_cosine_similarity(model, tokens, branch=args.branch)
     rows = cosine_csv_rows(scores, tokens)
-    (out / "cosine.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _artifact(out, "cosine.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {scores.shape[0]} layers x {scores.shape[1]} tokens to {out / 'cosine.csv'}"
           + (" (degenerate rows present)" if degenerate else ""))
     return EXIT_OK
@@ -257,7 +263,7 @@ def cmd_export(args) -> int:
     model, seed, _ = _load_model(args, cfg)
     out = _out_dir(args, cfg)
     sub = extract_submodel(model, args.branch)
-    save_checkpoint(out / "checkpoint", sub, seed)
+    save_checkpoint(_artifact(out, "checkpoint"), sub, seed)
     counts = param_count(sub)
     print(f"exported branch {args.branch}: {counts['total']} parameters "
           f"-> {out / 'checkpoint'}")

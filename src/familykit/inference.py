@@ -10,10 +10,12 @@ climbs that deep ("always" backfills immediately after each emission).
 
 Each block step is the model's own `block_forward` run over the raw
 kernels of `familykit.kernels`, with a hook that writes the step's keys
-and values into the cache and attends over the cached prefix. The
-row-stable kernels make a row's result independent of how many rows run
-with it, so cached logits are bit-identical to a full-prefix forward of
-the same depth.
+and values into the cache and returns the whole zero-filled `ctx_len`
+cache: the key extent that a full-prefix forward pads to. With the
+row-stable kernels a row's result is then independent of how many rows
+run with it, so cached logits are bit-identical to a full-prefix forward
+of the same depth. The RoPE tables and the causal mask are built for all
+`ctx_len` positions once per stream; each step slices its rows.
 """
 
 from __future__ import annotations
@@ -92,17 +94,6 @@ def confidence(logits_row: np.ndarray) -> float:
     return float(np.max(k_softmax(row, axis=-1)))
 
 
-def exit_histogram(trace: GenerationTrace) -> tuple[dict[int, int], float]:
-    """Per-exit-depth counts and mean exit depth over a trace."""
-    if not trace.records:
-        raise InputError("trace is empty")
-    counts: dict[int, int] = {}
-    for r in trace.records:
-        counts[r.exit_depth] = counts.get(r.exit_depth, 0) + 1
-    mean = sum(r.exit_depth for r in trace.records) / len(trace.records)
-    return counts, mean
-
-
 class GenState:
     """Decode-time state over a frozen model; one generation stream."""
 
@@ -118,6 +109,8 @@ class GenState:
         self.tapped = {k: np.zeros((cfg.ctx_len, cfg.hidden), np.float32)
                        for k in range(cfg.n_branches)}
         self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # block key -> (K, V)
+        self.cos, self.sin = rope_tables(np.arange(cfg.ctx_len), cfg.head_dim, cfg.rope_base)
+        self.mask = causal_mask(cfg.ctx_len, cfg.ctx_len)
         self.exec_count: dict[tuple, int] = {}
 
     # -- position ingestion --------------------------------------------------
@@ -139,8 +132,8 @@ class GenState:
     def _block_rows(self, block: BlockWeights, rows: np.ndarray, start: int,
                     key: tuple, name: str) -> np.ndarray:
         """Run one block on the residual rows of positions [start, stop),
-        attending over its cached keys and values of positions [0, stop);
-        returns the updated rows."""
+        attending over its cached keys and values (zero beyond the rows
+        written so far); returns the updated rows."""
         cfg = self.cfg
         stop = start + len(rows)
         for p in range(start, stop):
@@ -153,12 +146,10 @@ class GenState:
         def kv(k: np.ndarray, v: np.ndarray):
             keys[:, :, start:stop] = k
             values[:, :, start:stop] = v
-            return keys[:, :, :stop], values[:, :, :stop]
+            return keys, values
 
-        cos, sin = rope_tables(np.arange(start, stop), cfg.head_dim, cfg.rope_base)
-        out = block_forward(block, rows[None], cfg, cos, sin,
-                            causal_mask(stop - start, stop, offset=start),
-                            name=name, ops=kernels, kv=kv)
+        out = block_forward(block, rows[None], cfg, self.cos[start:stop], self.sin[start:stop],
+                            self.mask[start:stop], name=name, ops=kernels, kv=kv)
         return out[0]
 
     # -- backbone / branch advancement ---------------------------------------

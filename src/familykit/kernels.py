@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (Tensor, k_embedding as embedding, k_masked_softmax as masked_softmax,
-                     k_matmul as matmul, k_repeat_heads as repeat_heads,
-                     k_rmsnorm as rmsnorm, k_rope as rope, k_silu as silu)
+                     k_matmul as matmul, k_pad_keys as pad_keys, k_rmsnorm as rmsnorm,
+                     k_rope as rope, k_silu as silu)
 
 Array = np.ndarray
 

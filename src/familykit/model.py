@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from . import tensor
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ShapeError
 from .rng import SplitRng
 from .tensor import Tensor, causal_mask, rope_tables
 
@@ -390,13 +390,20 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     """One pre-norm decoder block: causal GQA attention then gated MLP.
 
     `h` holds residual rows (B, T, hidden) in the value type of `ops`:
-    Tensors under `tensor`, arrays under `kernels`. `allowed` is the
-    (query, key) mask. `kv(k, v)`, when given, receives the rotated keys and
-    values of these rows and returns the ones to attend over; cached
-    decoding uses it to write its cache and read back the whole prefix.
+    Tensors under `tensor`, arrays under `kernels`. Every call attends over
+    a key axis of `ctx_len`, so each attention product has one shape and
+    stays row-stable: `allowed` is the (T, ctx_len) query-key mask, and
+    keys and values are zero-padded to `ctx_len` unless `kv(k, v)` is
+    given, which receives the rotated keys and values of these rows and
+    returns all `ctx_len` of them (cached decoding writes its cache and
+    returns it whole). The query heads of one KV head are adjacent and
+    attend as one group of rep * T rows, so keys are never repeated.
     """
     b, t, _ = h.shape
-    dh, hq, hkv = cfg.head_dim, cfg.q_heads, cfg.kv_heads
+    dh, hq, hkv, n_keys = cfg.head_dim, cfg.q_heads, cfg.kv_heads, cfg.ctx_len
+    if allowed.shape != (t, n_keys):
+        raise ShapeError(f"attention mask {allowed.shape} is not ({t}, {n_keys})")
+    rep = hq // hkv
 
     def heads(x, n):
         return ops.transpose(ops.reshape(x, (b, t, n, dh)), (0, 2, 1, 3))
@@ -405,16 +412,17 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     q = heads(apply_linear(a, block.w_q, f"{name}.w_q", tap, ops), hq)
     k = heads(apply_linear(a, block.w_k, f"{name}.w_k", tap, ops), hkv)
     v = heads(apply_linear(a, block.w_v, f"{name}.w_v", tap, ops), hkv)
-    q = ops.rope(q, cos, sin)
+    q = ops.reshape(ops.rope(q, cos, sin), (b, hkv, rep * t, dh))
     k = ops.rope(k, cos, sin)
     if kv is not None:
         k, v = kv(k, v)
-    k = ops.repeat_heads(k, hq // hkv)
-    v = ops.repeat_heads(v, hq // hkv)
+    else:
+        k, v = ops.pad_keys(k, n_keys), ops.pad_keys(v, n_keys)
 
     scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    probs = ops.masked_softmax(scores, allowed[None, None])
-    ctx = ops.reshape(ops.transpose(ops.matmul(probs, v), (0, 2, 1, 3)), (b, t, cfg.hidden))
+    probs = ops.masked_softmax(scores, np.concatenate([allowed] * rep)[None, None])
+    ctx = ops.reshape(ops.matmul(probs, v), (b, hq, t, dh))
+    ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, t, cfg.hidden))
     h = h + apply_linear(ctx, block.w_o, f"{name}.w_o", tap, ops)
 
     m = ops.rmsnorm(h, ops.param(block.mlp_norm), cfg.rms_eps)
@@ -455,7 +463,7 @@ def forward_exits(model: FamilialModel, tokens, branches: list[int],
         raise InputError(f"sequence length {t} exceeds ctx_len {cfg.ctx_len}")
     cos, sin = rope_tables(np.arange(t), cfg.head_dim, cfg.rope_base,
                            dtype=model.embedding.data.dtype)
-    allowed = causal_mask(t, t)
+    allowed = causal_mask(t, cfg.ctx_len)
 
     def run(block: BlockWeights, h, name: str):
         out = block_forward(block, h, cfg, cos, sin, allowed, name=name, tap=tap, ops=ops)

@@ -10,13 +10,18 @@ identity check, analysis and decoding run the same kernels without a graph
 through `familykit.kernels`, whose names match the ops here, so the model
 writes its math once over either module (see `model.forward_exits`).
 
-Every forward matrix product goes through `k_matmul`, which is `np.einsum`
-without the optimizer: its accumulation order for a given output element
-depends only on the contracted extent, never on how many other rows are
-computed in the same call. That row-stability is what makes incremental
-decoding bit-equal to full-prefix forward passes. Gradients are never
-compared against a cached forward, so `matmul`'s backward uses `np.matmul`
-(BLAS), several times faster on these shapes but not row-stable.
+Every forward matrix product goes through `k_matmul`, which zero-pads the
+rows to a multiple of `ROW_TILE` and runs `np.matmul` (BLAS) on tiles of
+`ROW_TILE` rows, so every BLAS call of a product has one shape however many
+rows the caller has. The kernel that computes a product depends on the call
+shape (numpy sends one row to gemv, and a BLAS build may switch kernels by
+size), but at one shape it computes a row the same way wherever it sits.
+With attention's key axis fixed at `ctx_len` as well (see
+`model.block_forward`), a row's result never depends on how many rows are
+computed with it. That row-stability is what makes incremental decoding
+bit-equal to full-prefix forward passes. Gradients are never compared
+against a cached forward, so `matmul`'s backward calls `np.matmul` on the
+operands as they are.
 """
 
 from __future__ import annotations
@@ -34,17 +39,38 @@ Array = np.ndarray
 # numeric kernels (no autodiff; `familykit.kernels` exports them for graph-free forwards)
 # ---------------------------------------------------------------------------
 
+ROW_TILE = 8  # rows per BLAS call in every forward product
+
+
+def k_pad_keys(x: Array, length: int) -> Array:
+    """(..., T, D) -> (..., length, D): zero rows after the T given ones."""
+    t = x.shape[-2]
+    if t == length:
+        return x
+    if t > length:
+        raise ShapeError(f"cannot pad {t} rows to {length}")
+    out = np.zeros(x.shape[:-2] + (length, x.shape[-1]), x.dtype)
+    out[..., :t, :] = x
+    return out
+
+
 def k_matmul(a: Array, b: Array) -> Array:
-    """Row-stable matrix product for 2d x 2d, nd x 2d and 4d x 4d operands."""
-    if a.ndim == 2 and b.ndim == 2:
-        return np.einsum("ij,jk->ik", a, b)
+    """Row-stable matrix product for nd x 2d and 4d x 4d operands: one
+    fixed-shape BLAS call per `ROW_TILE` rows of `a` (its leading axes
+    folded, or per (B, H) matrix of a 4-d operand)."""
     if a.ndim >= 2 and b.ndim == 2:
-        lead = a.shape[:-1]
-        out = np.einsum("ij,jk->ik", a.reshape(-1, a.shape[-1]), b)
-        return out.reshape(*lead, b.shape[-1])
-    if a.ndim == 4 and b.ndim == 4:
-        return np.einsum("bhij,bhjk->bhik", a, b)
-    raise ShapeError(f"unsupported matmul arity: {a.shape} @ {b.shape}")
+        rows = a.reshape(-1, a.shape[-1])
+    elif a.ndim == 4 and b.ndim == 4:
+        rows, b = a, b[:, :, None]  # each (B, H) matrix of b against each of its tiles
+    else:
+        raise ShapeError(f"unsupported matmul arity: {a.shape} @ {b.shape}")
+    n = rows.shape[-2]
+    # numpy sends a strided operand to its own loop instead of BLAS, which
+    # would round a row differently from the same row in a BLAS call
+    padded = np.ascontiguousarray(k_pad_keys(rows, n + (-n % ROW_TILE)))
+    tiles = padded.reshape(padded.shape[:-2] + (-1, ROW_TILE, padded.shape[-1]))
+    out = np.matmul(tiles, np.ascontiguousarray(b)).reshape(padded.shape[:-1] + (b.shape[-1],))
+    return out[..., :n, :].reshape(a.shape[:-1] + (b.shape[-1],))
 
 
 def _rmsnorm(x: Array, gamma: Array, eps: float) -> tuple[Array, Array]:
@@ -68,11 +94,12 @@ def k_masked_softmax(scores: Array, allowed: Array) -> Array:
     """Softmax over the last axis restricted to `allowed` (bool) entries.
 
     Disallowed entries get probability exactly 0.0 without ever forming
-    non-finite intermediates, so causality holds bit-exactly. The
-    denominator is a strictly sequential (cumsum) reduction: trailing
-    zero entries are exact no-ops, which keeps a row's probabilities
-    bit-identical whether its key axis is truncated or zero-padded --
-    the property that makes cached decoding match full-prefix forwards.
+    non-finite intermediates, so causality holds bit-exactly, and nothing
+    of a row depends on its scores at disallowed entries. The denominator
+    is the tiled product `e @ ones`, so at a fixed key length (attention
+    always uses `ctx_len`) a row's probabilities are the same bits however
+    many rows share the call -- the property that makes cached decoding
+    match full-prefix forwards.
     """
     masked = np.where(allowed, scores, np.asarray(-np.inf, scores.dtype))
     m = np.max(masked, axis=-1, keepdims=True)
@@ -80,8 +107,7 @@ def k_masked_softmax(scores: Array, allowed: Array) -> Array:
     # already satisfy scores <= m so the clamp never changes them
     e = np.where(allowed, np.exp(np.minimum(scores - m, np.asarray(0.0, scores.dtype))),
                  np.asarray(0.0, scores.dtype))
-    den = np.cumsum(e, axis=-1)[..., -1:]
-    return e / den
+    return e / k_matmul(e, np.ones((e.shape[-1], 1), e.dtype))
 
 
 def _silu(x: Array) -> tuple[Array, Array]:
@@ -137,14 +163,6 @@ def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np
     lse = m + np.log(np.sum(np.exp(flat - m[:, None]), axis=-1))
     nll = lse - flat[np.arange(flat.shape[0]), np.where(kflat, targets.reshape(-1), 0)]
     return np.float64(nll[kflat].sum() / kflat.sum())
-
-
-def k_repeat_heads(x: Array, n_rep: int) -> Array:
-    """(B, Hkv, T, Dh) -> (B, Hkv * n_rep, T, Dh), groups kept adjacent."""
-    if n_rep == 1:
-        return x
-    b, h, t, d = x.shape
-    return np.broadcast_to(x[:, :, None], (b, h, n_rep, t, d)).reshape(b, h * n_rep, t, d)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +380,9 @@ def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
     return _make(p, (scores,), bwd)
 
 
-def causal_mask(t_q: int, t_k: int, offset: int = 0) -> Array:
-    """allowed[i, j] = (key position j) <= (query position offset + i)."""
-    qpos = np.arange(offset, offset + t_q)[:, None]
-    kpos = np.arange(t_k)[None, :]
-    return kpos <= qpos
+def causal_mask(t_q: int, t_k: int) -> Array:
+    """allowed[i, j] = (key position j) <= (query position i)."""
+    return np.tri(t_q, t_k, dtype=bool)
 
 
 def rope(x: Tensor, cos: Array, sin: Array) -> Tensor:
@@ -380,15 +396,16 @@ def rope(x: Tensor, cos: Array, sin: Array) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def repeat_heads(x: Tensor, n_rep: int) -> Tensor:
-    if n_rep == 1:
+def pad_keys(x: Tensor, length: int) -> Tensor:
+    """Zero rows appended along axis -2 up to `length`; a no-op at `length`."""
+    t = x.data.shape[-2]
+    if t == length:
         return x
 
     def bwd(g: Array) -> None:
-        b, h, t, d = x.data.shape
-        _accumulate(x, g.reshape(b, h, n_rep, t, d).sum(axis=2))
+        _accumulate(x, g[..., :t, :])
 
-    return _make(k_repeat_heads(x.data, n_rep), (x,), bwd)
+    return _make(k_pad_keys(x.data, length), (x,), bwd)
 
 
 def embedding(table: Tensor, ids: Array) -> Tensor:

@@ -274,6 +274,7 @@ def test_cli_analyze_rejects_bad_branch_and_text(tmp_path, args):
     save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=2), seed=2)
     assert cli_main(["analyze", "--checkpoint", str(tmp_path / "c"),
                      "--out", str(tmp_path / "a"), *args]) == 2
+    assert not (tmp_path / "a").exists()  # a rejected command leaves no --out behind
 
 
 @pytest.mark.parametrize("command,flag,bad", [
@@ -294,7 +295,7 @@ def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
         argv.append("--sample")
     artifact = "trace.jsonl" if command == "generate" else "eval.csv"
     assert cli_main(argv + ["--out", str(tmp_path / "bad"), flag, bad]) == 2
-    assert not (tmp_path / "bad" / artifact).exists()
+    assert not (tmp_path / "bad").exists()  # a rejected command leaves no --out behind
     # the same command with a valid value runs, so the exit above is the flag's
     good = {"--tau": "0.5", "--max-new": "0", "--window": "2", "--temperature": "0.9"}[flag]
     assert cli_main(argv + ["--out", str(tmp_path / "good"), flag, good]) == 0

@@ -43,7 +43,7 @@ def test_new_block_output_exactly_zero(base_model):
     h = Tensor(np.random.default_rng(3).standard_normal((2, 5, cfg.hidden))
                .astype(np.float32))
     cos, sin = rope_tables(np.arange(5), cfg.head_dim, cfg.rope_base)
-    out = block_forward(block, h, cfg, cos, sin, causal_mask(5, 5))
+    out = block_forward(block, h, cfg, cos, sin, causal_mask(5, cfg.ctx_len))
     assert np.array_equal(out.data, h.data)
 
 

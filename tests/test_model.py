@@ -4,12 +4,12 @@ import pytest
 from conftest import cast_model, tiny_config
 
 from familykit import kernels, model as fk_model
-from familykit.errors import ConfigError, InputError
+from familykit.errors import ConfigError, InputError, ShapeError
 from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
                              init_model, named_parameters, param_count, set_freeze)
-from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_rmsnorm, k_rope,
-                              k_silu, rope_tables)
+from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_pad_keys, k_rmsnorm,
+                              k_rope, k_silu, rope_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +212,20 @@ def test_rotary_position_offset_invariance():
     outs = []
     for offset in (0, 7):
         cos, sin = rope_tables(np.arange(offset, offset + 10), cfg.head_dim, cfg.rope_base)
-        outs.append(block_forward(model.backbone[0], h, cfg, cos, sin, causal_mask(10, 10),
-                                  ops=kernels))
+        outs.append(block_forward(model.backbone[0], h, cfg, cos, sin,
+                                  causal_mask(10, cfg.ctx_len), ops=kernels))
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-5
+
+
+def test_block_forward_rejects_mask_of_wrong_width():
+    # every attention call spans ctx_len keys; any other mask is a caller bug
+    cfg = desk_config()
+    model = init_model(cfg, seed=9)
+    h = model.embedding.data[np.arange(5)][None]
+    cos, sin = rope_tables(np.arange(5), cfg.head_dim, cfg.rope_base)
+    for mask in (causal_mask(5, 5), causal_mask(5, cfg.ctx_len + 1), causal_mask(4, cfg.ctx_len)):
+        with pytest.raises(ShapeError):
+            block_forward(model.backbone[0], h, cfg, cos, sin, mask, ops=kernels)
 
 
 def test_gqa_with_equal_heads_is_plain_mha():
@@ -234,12 +245,12 @@ def test_gqa_with_equal_heads_is_plain_mha():
     v = k_matmul(a, blk.w_v.data).reshape(b, t, hq, dh).transpose(0, 2, 1, 3)
     cos, sin = rope_tables(np.arange(t), dh, cfg.rope_base)
     q = k_rope(np.ascontiguousarray(q), cos, sin)
-    k = k_rope(np.ascontiguousarray(k), cos, sin)
+    k = k_pad_keys(k_rope(np.ascontiguousarray(k), cos, sin), cfg.ctx_len)
     scores = k_matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2)))
     scores = scores * np.asarray(1.0 / np.sqrt(dh), np.float32)
-    allowed = np.tril(np.ones((t, t), bool))
+    allowed = np.tril(np.ones((t, cfg.ctx_len), bool))
     probs = k_masked_softmax(scores, np.broadcast_to(allowed[None, None], scores.shape))
-    ctx = np.ascontiguousarray(k_matmul(probs, np.ascontiguousarray(v))
+    ctx = np.ascontiguousarray(k_matmul(probs, k_pad_keys(np.ascontiguousarray(v), cfg.ctx_len))
                                .transpose(0, 2, 1, 3)).reshape(b, t, cfg.hidden)
     h = h + k_matmul(ctx, blk.w_o.data)
     m = k_rmsnorm(h, blk.mlp_norm.data, cfg.rms_eps)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from conftest import finite_difference_grads, mean_all, sum_all
 
 from familykit.errors import (DegenerateBatchError, GraphError, InputError, ShapeError)
-from familykit.tensor import (Tensor, backward, cross_entropy, embedding,
-                              k_masked_softmax, k_softmax, matmul, masked_softmax, mul,
-                              repeat_heads, reshape, rmsnorm, rope, rope_tables, silu,
+from familykit.tensor import (Tensor, backward, causal_mask, cross_entropy, embedding,
+                              k_masked_softmax, k_matmul, k_softmax, matmul, masked_softmax,
+                              mul, pad_keys, reshape, rmsnorm, rope, rope_tables, silu,
                               transpose)
 
 
@@ -46,6 +46,60 @@ def test_matmul_against_triple_loop():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(Tensor(rand((2, 3))), Tensor(rand((4, 2))))
+
+
+# ---------------------------------------------------------------------------
+# row stability of the forward product: a row computed alone, inside a
+# 5-row slice and inside the whole batch gives the same bits
+# ---------------------------------------------------------------------------
+
+# desk linear products (in, out), including the tiled softmax denominator
+DESK_LINEAR = [(32, 32), (32, 16), (32, 128), (128, 32), (32, 259), (64, 1)]
+# desk attention products (rows, contracted, out): scores, then context
+DESK_ATTENTION = [(128, 8, 64), (128, 64, 8)]
+
+
+def _slices(n):
+    """Row indices to check, each with the start of a 5-row slice holding it."""
+    return [(i, max(0, min(i - 2, n - 5))) for i in sorted({0, 5, n // 2, n - 1}) if i < n]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,m", DESK_LINEAR)
+def test_matmul_nd_by_2d_row_stable(dtype, k, m):
+    rng = np.random.default_rng(k * 1000 + m)
+    b = rng.standard_normal((k, m)).astype(dtype)
+    for n in (512, 37, 13):  # the desk batch's 8 x 64 rows, and two counts off the tile
+        a = rng.standard_normal((n, k)).astype(dtype)
+        full = k_matmul(a, b)
+        if n == 512:
+            assert np.array_equal(k_matmul(a.reshape(8, 64, k), b).reshape(n, m), full)
+        for i, s in _slices(n):
+            assert np.array_equal(k_matmul(a[i:i + 1], b)[0], full[i]), (n, i)
+            assert np.array_equal(k_matmul(a[s:s + 5], b)[i - s], full[i]), (n, i)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,k,m", DESK_ATTENTION + [(37, 8, 64), (2, 64, 8)])
+def test_matmul_4d_by_4d_row_stable(dtype, n, k, m):
+    rng = np.random.default_rng(n * 100 + k)
+    a = rng.standard_normal((8 if n > 5 else 1, 2, n, k)).astype(dtype)
+    b = rng.standard_normal(a.shape[:2] + (k, m)).astype(dtype)
+    full = k_matmul(a, b)
+    for bi in (0, a.shape[0] - 1):
+        for i, s in _slices(n):
+            alone = k_matmul(a[bi:bi + 1, :, i:i + 1], b[bi:bi + 1])
+            assert np.array_equal(alone[0, :, 0], full[bi, :, i]), (bi, i)
+            if n >= 5:
+                five = k_matmul(a[bi:bi + 1, :, s:s + 5], b[bi:bi + 1])
+                assert np.array_equal(five[0, :, i - s], full[bi, :, i]), (bi, i)
+
+
+def test_matmul_rejects_other_arities():
+    with pytest.raises(ShapeError):
+        k_matmul(rand(3), rand((3, 2)))
+    with pytest.raises(ShapeError):
+        k_matmul(rand((2, 3, 4)), rand((2, 4, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +304,12 @@ def test_grad_masked_softmax():
     fd_check(lambda: sum_all(mul(masked_softmax(x, allowed[None, None]), w)), [x])
 
 
-def test_grad_rope_and_repeat_heads():
+def test_grad_rope_and_pad_keys():
     x = Tensor(rand((1, 2, 3, 4), 10, np.float64), requires_grad=True, dtype=np.float64)
     cos, sin = rope_tables(np.arange(3), 4, 10000.0, dtype=np.float64)
-    w = Tensor(rand((1, 4, 3, 4), 11, np.float64), dtype=np.float64)
-    fd_check(lambda: sum_all(mul(repeat_heads(rope(x, cos, sin), 2), w)), [x])
+    w = Tensor(rand((1, 2, 5, 4), 11, np.float64), dtype=np.float64)
+    fd_check(lambda: sum_all(mul(pad_keys(rope(x, cos, sin), 5), w)), [x])
+    assert pad_keys(x, 3) is x
 
 
 def test_grad_embedding_and_cross_entropy():
@@ -284,17 +339,26 @@ def test_masked_softmax_exact_zero_outside_mask():
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_masked_softmax_pad_invariance():
-    # the property cached decoding relies on: appending masked-out keys
-    # never changes the probabilities of the allowed prefix
+def test_masked_softmax_ignores_masked_scores_and_row_count():
+    # the property cached decoding relies on: at the ctx_len key axis every
+    # attention call uses, a row's probabilities are the same bits whatever
+    # its scores at masked keys (future keys in a forward, zero-filled cache
+    # in decode) and however many query rows share the call
     rng = np.random.default_rng(21)
-    for n in (1, 3, 9, 31, 64):
-        scores = rng.standard_normal((1, 2, 1, 64)).astype(np.float32)
-        allowed = np.zeros((1, 2, 1, 64), bool)
-        allowed[..., :n] = True
+    ctx, rows = 64, 40
+    allowed = causal_mask(rows, ctx)[None, None]
+    for dtype in (np.float32, np.float64):
+        scores = rng.standard_normal((1, 2, rows, ctx)).astype(dtype)
         full = k_masked_softmax(scores, allowed)
-        trunc = k_masked_softmax(scores[..., :n], allowed[..., :n])
-        assert np.array_equal(full[..., :n], trunc)
+        for junk in (np.zeros_like(scores), 50 * rng.standard_normal(scores.shape).astype(dtype)):
+            masked = np.where(allowed, scores, junk)
+            assert np.array_equal(k_masked_softmax(masked, allowed), full)
+            for i in (0, 1, 7, 8, 20, rows - 1):
+                alone = k_masked_softmax(masked[:, :, i:i + 1], allowed[:, :, i:i + 1])
+                assert np.array_equal(alone, full[:, :, i:i + 1]), (dtype, i)
+                s = max(0, min(i - 2, rows - 5))
+                five = k_masked_softmax(masked[:, :, s:s + 5], allowed[:, :, s:s + 5])
+                assert np.array_equal(five[:, :, i - s], full[:, :, i]), (dtype, i)
 
 
 def test_op_determinism():
