@@ -43,7 +43,7 @@ def config_fingerprint(config: FamilyConfig | dict) -> str:
 
 
 def ensure_compatible(expected: FamilyConfig, found: FamilyConfig, what: str) -> None:
-    if expected.to_dict() != found.to_dict():
+    if expected != found:
         raise IntegrityError(
             f"{what}: config mismatch (expected fingerprint "
             f"{config_fingerprint(expected)}, checkpoint has {config_fingerprint(found)})")
@@ -72,9 +72,7 @@ def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
                     optimizer: OptimizerSnapshot | None = None) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    params = [(name, p.data, not model.freeze_mask.get(name, False))
-              for name, p in named_parameters(model)]
-    table, blob = _pack(params)
+    table, blob = _pack([(name, p.data, p.requires_grad) for name, p in named_parameters(model)])
     manifest = {
         "format_version": FORMAT_VERSION,
         "seed": int(seed),
@@ -184,8 +182,7 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
         else:
             w = param(name, shape)
         setattr(owner, attr, w)
-    model.freeze_mask = {name: not p.requires_grad for name, p in named_parameters(model)}
-    missing = set(entries) - set(model.freeze_mask)
+    missing = set(entries) - {name for name, _ in named_parameters(model)}
     if missing:
         raise IntegrityError(f"checkpoint has parameters the config cannot place: {sorted(missing)}")
 

@@ -12,13 +12,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (OptimizerSnapshot, config_fingerprint, ensure_compatible,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import (OptimizerSnapshot, ensure_compatible, load_checkpoint,
+                         save_checkpoint)
 from .compression import (apply_compression, build_plan, capture_activations,
                           measure_compression)
 from .config import RunConfig, load_run_config, parse_overrides
@@ -145,7 +145,7 @@ def cmd_expand(args) -> int:
                                                 moments_v=state.moments_v))
     write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
     _artifact(out, "expansion_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")
     print(f"added {report.added_params} parameters; trainable {len(report.trainable)} tensors")
     print(f"checkpoint: {out / 'checkpoint'}")
     return EXIT_OK

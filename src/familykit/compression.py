@@ -28,7 +28,7 @@ from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
 from .linalg import cholesky_array, svd_array
 from .model import (Factored, FamilialModel, copy_model, forward_exits, get_weight_slot,
-                    named_parameters, param_count, set_weight_slot)
+                    param_count, set_weight_slot)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -347,8 +347,6 @@ def apply_compression(model: FamilialModel, plan: CompressionPlan) -> FamilialMo
         set_weight_slot(compressed, entry.name, Factored(
             b=Tensor(np.ascontiguousarray(b.T), requires_grad=True),
             a=Tensor(np.ascontiguousarray(a.T), requires_grad=True)))
-    compressed.freeze_mask = {name: compressed.freeze_mask.get(name, False)
-                              for name, _ in named_parameters(compressed)}
     return compressed
 
 

@@ -44,11 +44,6 @@ class ExpansionSpec:
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}")
 
-    def to_dict(self) -> dict:
-        return {"target_branch": self.target_branch, "n_new_blocks": self.n_new_blocks,
-                "init_mode": self.init_mode, "clone_source": self.clone_source,
-                "gaussian_std": self.gaussian_std, "seed": self.seed}
-
 
 @dataclass
 class ExpansionReport:
@@ -56,12 +51,6 @@ class ExpansionReport:
     added_params: int
     trainable: list[str]
     frozen_count: int
-
-    def to_dict(self) -> dict:
-        return {"identity_deviation": self.identity_deviation,
-                "added_params": self.added_params,
-                "trainable": self.trainable,
-                "frozen_count": self.frozen_count}
 
 
 def _new_block(cfg: FamilyConfig, model: FamilialModel, spec: ExpansionSpec, index: int):
@@ -104,15 +93,15 @@ def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, Ex
                  for j in range(len(head.blocks) - spec.n_new_blocks, len(head.blocks))
                  for m in BLOCK_MATRICES + BLOCK_NORMS}
     head_name = f"exits.{spec.target_branch}.lm_proj"
-    set_freeze(expanded, lambda name: not (
+    frozen = set_freeze(expanded, lambda name: not (
         name in new_names or name == head_name or name.startswith(head_name + ".")))
 
     added = param_count(expanded)["total"] - before
     report = ExpansionReport(
         identity_deviation=0.0,
         added_params=added,
-        trainable=sorted(n for n, f in expanded.freeze_mask.items() if not f),
-        frozen_count=sum(1 for f in expanded.freeze_mask.values() if f),
+        trainable=sorted(n for n, f in frozen.items() if not f),
+        frozen_count=sum(frozen.values()),
     )
     return expanded, report
 

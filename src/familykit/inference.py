@@ -1,12 +1,12 @@
 """Confidence-thresholded early-exit decoding with shared KV state.
 
 Per new token the allowed exits are evaluated shallow to deep; the first
-whose max softmax probability reaches the threshold emits. Positions keep
-a per-layer KV cache plus the residual tapped at every exit depth, so no
-(position, layer) pair is ever computed twice. When a token exits early,
-deeper layers for its position are skipped; under the default "lazy"
-policy their KV entries are backfilled only when a later token actually
-climbs that deep ("always" backfills immediately after each emission).
+whose max softmax probability reaches the threshold emits. Every block
+keeps a KV cache, its output rows and a frontier (the positions it has
+run), so no (position, block) pair is ever computed twice. When a token
+exits early, deeper layers for its position are skipped; under the default
+"lazy" policy they run only when a later token actually climbs that deep
+("always" backfills immediately after each emission).
 
 Each block step is the model's own `block_forward` run over the raw
 kernels of `familykit.kernels`, with a hook that writes the step's keys
@@ -21,6 +21,7 @@ of the same depth. The RoPE tables and the causal mask are built for all
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,53 +95,47 @@ def confidence(logits_row: np.ndarray) -> float:
     return float(np.max(k_softmax(row, axis=-1)))
 
 
-class GenState:
-    """Decode-time state over a frozen model; one generation stream."""
+EMBEDDING = ("embedding",)  # GenState buffer key of the embedded rows
 
-    def __init__(self, model: FamilialModel, exits: tuple[int, ...]):
+
+class GenState:
+    """Decode-time state over a frozen model; one generation stream.
+
+    Every block that has run keeps, under its KV cache key, the residual
+    rows it produced and its frontier. Backbone layer 0 reads the embedded
+    rows (key `EMBEDDING`), each later layer the one before it, and branch
+    k's first block backbone layer `exit_depths[k] - 1`.
+    """
+
+    def __init__(self, model: FamilialModel):
         self.model = model
         cfg = model.config
         self.cfg = cfg
-        self.depth = np.zeros(cfg.ctx_len, np.int64)
-        self.hidden = np.zeros((cfg.ctx_len, cfg.hidden), np.float32)
         self.n_positions = 0
-        self.branch_frontier = {k: 0 for k in exits}
-        self.branch_out = {k: np.zeros((cfg.ctx_len, cfg.hidden), np.float32) for k in exits}
-        self.tapped = {k: np.zeros((cfg.ctx_len, cfg.hidden), np.float32)
-                       for k in range(cfg.n_branches)}
-        self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # block key -> (K, V)
+        self.rows: dict[tuple, np.ndarray] = defaultdict(
+            lambda: np.zeros((cfg.ctx_len, cfg.hidden), np.float32))
+        self.frontier: dict[tuple, int] = {}  # block key -> positions run
+        kv_shape = (1, cfg.kv_heads, cfg.ctx_len, cfg.head_dim)
+        self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = defaultdict(  # key -> (K, V)
+            lambda: (np.zeros(kv_shape, np.float32), np.zeros(kv_shape, np.float32)))
         self.cos, self.sin = rope_tables(np.arange(cfg.ctx_len), cfg.head_dim, cfg.rope_base)
         self.mask = causal_mask(cfg.ctx_len, cfg.ctx_len)
         self.exec_count: dict[tuple, int] = {}
 
-    # -- position ingestion --------------------------------------------------
-
-    def push_token(self, token: int) -> int:
+    def push_token(self, token: int) -> None:
         if token < 0 or token >= self.cfg.vocab:
             raise InputError(f"token id {token} outside vocab")
-        p = self.n_positions
-        self.hidden[p] = self.model.embedding.data[token]
-        self.depth[p] = 0
-        for k, d in enumerate(self.cfg.exit_depths):
-            if d == 0:
-                self.tapped[k][p] = self.hidden[p]
+        self.rows[EMBEDDING][self.n_positions] = self.model.embedding.data[token]
         self.n_positions += 1
-        return p
-
-    # -- core block step on a contiguous row range ---------------------------
 
     def _block_rows(self, block: BlockWeights, rows: np.ndarray, start: int,
                     key: tuple, name: str) -> np.ndarray:
         """Run one block on the residual rows of positions [start, stop),
         attending over its cached keys and values (zero beyond the rows
         written so far); returns the updated rows."""
-        cfg = self.cfg
         stop = start + len(rows)
         for p in range(start, stop):
             self.exec_count[key + (p,)] = self.exec_count.get(key + (p,), 0) + 1
-        if key not in self.cache:
-            shape = (1, cfg.kv_heads, cfg.ctx_len, cfg.head_dim)
-            self.cache[key] = (np.zeros(shape, np.float32), np.zeros(shape, np.float32))
         keys, values = self.cache[key]
 
         def kv(k: np.ndarray, v: np.ndarray):
@@ -148,51 +143,43 @@ class GenState:
             values[:, :, start:stop] = v
             return keys, values
 
-        out = block_forward(block, rows[None], cfg, self.cos[start:stop], self.sin[start:stop],
-                            self.mask[start:stop], name=name, ops=kernels, kv=kv)
+        out = block_forward(block, rows[None], self.cfg, self.cos[start:stop],
+                            self.sin[start:stop], self.mask[start:stop], name=name,
+                            ops=kernels, kv=kv)
         return out[0]
 
-    # -- backbone / branch advancement ---------------------------------------
+    def _advance(self, blocks: list[tuple[tuple, str, BlockWeights]], source: tuple,
+                 pos: int) -> tuple:
+        """Run each of `blocks` ((key, name, weights), in path order) on the
+        positions from its frontier to `pos`, off the rows of the block
+        before it (the first off `source`); returns the last rows' key."""
+        for key, name, block in blocks:
+            start = self.frontier.get(key, 0)
+            if start <= pos:
+                self.rows[key][start:pos + 1] = self._block_rows(
+                    block, self.rows[source][start:pos + 1], start, key, name)
+                self.frontier[key] = pos + 1
+            source = key
+        return source
 
-    def advance_backbone(self, pos: int, depth_target: int) -> None:
-        """Bring every position <= pos to `depth_target` backbone layers.
+    def advance_backbone(self, pos: int, depth: int) -> None:
+        """Bring every position <= pos through the first `depth` backbone layers."""
+        self._advance([(("backbone", li), f"backbone.{li}", self.model.backbone[li])
+                       for li in range(depth)], EMBEDDING, pos)
 
-        Depths are non-increasing in position, so for each layer the rows
-        still below it form a contiguous suffix; each (position, layer)
-        runs exactly once over the lifetime of the stream.
-        """
-        for li in range(depth_target):
-            start = pos + 1
-            while start > 0 and self.depth[start - 1] <= li:
-                start -= 1
-            if start > pos:
-                continue  # everyone already past this layer
-            out = self._block_rows(self.model.backbone[li], self.hidden[start:pos + 1],
-                                   start, key=("backbone", li), name=f"backbone.{li}")
-            self.hidden[start:pos + 1] = out
-            self.depth[start:pos + 1] = li + 1
-            for k, d in enumerate(self.cfg.exit_depths):
-                if d == li + 1:
-                    self.tapped[k][start:pos + 1] = out
-
-    def ensure_branch(self, branch: int, pos: int) -> None:
-        """Run branch blocks for positions [frontier, pos] of one exit."""
-        start = self.branch_frontier[branch]
-        if start > pos:
-            return
-        rows = self.tapped[branch][start:pos + 1].copy()
-        head = self.model.exits[branch]
-        for j, block in enumerate(head.blocks):
-            rows = self._block_rows(block, rows, start, key=("branch", branch, j),
-                                    name=f"exits.{branch}.blocks.{j}")
-        self.branch_out[branch][start:pos + 1] = rows
-        self.branch_frontier[branch] = pos + 1
+    def ensure_branch(self, branch: int, pos: int) -> tuple:
+        """Run the blocks of `branch` for every position <= pos, whose
+        backbone rows must already be there; returns the key of the rows
+        its head reads."""
+        depth = self.cfg.exit_depths[branch]
+        blocks = [(("branch", branch, j), f"exits.{branch}.blocks.{j}", block)
+                  for j, block in enumerate(self.model.exits[branch].blocks)]
+        return self._advance(blocks, ("backbone", depth - 1) if depth else EMBEDDING, pos)
 
     def exit_logits(self, branch: int, pos: int) -> np.ndarray:
         """Vocabulary row for `branch` at position `pos` (advancing lazily)."""
         self.advance_backbone(pos, self.cfg.exit_depths[branch])
-        self.ensure_branch(branch, pos)
-        h = self.branch_out[branch][pos][None, None]  # (1, 1, hidden)
+        h = self.rows[self.ensure_branch(branch, pos)][pos][None, None]  # (1, 1, hidden)
         return head_logits(self.model.exits[branch], h, self.cfg, branch,
                            ops=kernels)[0, 0]
 
@@ -224,7 +211,7 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
         raise InputError(f"prompt of {len(prompt)} tokens exceeds ctx_len {cfg.ctx_len}")
     rng = SplitRng(policy.seed).split("generate") if policy.mode == "sample" else None
 
-    state = GenState(model, exits)
+    state = GenState(model)
     if state_out is not None:
         state_out.append(state)
     for t in prompt:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from types import ModuleType
 from typing import Callable, Iterator, Union
 
@@ -101,15 +101,7 @@ class FamilyConfig:
         return len(self.exit_depths)
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "hidden": self.hidden,
-            "q_heads": self.q_heads, "kv_heads": self.kv_heads,
-            "vocab": self.vocab, "ctx_len": self.ctx_len,
-            "exit_depths": list(self.exit_depths),
-            "branch_blocks": list(self.branch_blocks),
-            "mlp_mult": self.mlp_mult, "rms_eps": self.rms_eps,
-            "rope_base": self.rope_base,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilyConfig":
@@ -199,7 +191,11 @@ class FamilialModel:
     embedding: Tensor
     backbone: list[BlockWeights]
     exits: list[ExitHead]
-    freeze_mask: dict[str, bool] = field(default_factory=dict)  # True = frozen
+
+    @property
+    def freeze_mask(self) -> dict[str, bool]:
+        """Parameter name -> frozen, read off each parameter's `requires_grad`."""
+        return {name: not p.requires_grad for name, p in named_parameters(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +239,7 @@ def _build(config: FamilyConfig, rng: SplitRng | None) -> FamilialModel:
             blocks=blocks, final_norm=_gain(config),
             lm_proj=_matrix(rng, f"exits.{k}.lm_proj", (config.hidden, config.vocab), INIT_STD),
         ))
-    model = FamilialModel(config=config, embedding=emb, backbone=backbone, exits=exits)
-    model.freeze_mask = {name: False for name, _ in named_parameters(model)}
-    return model
+    return FamilialModel(config=config, embedding=emb, backbone=backbone, exits=exits)
 
 
 def init_model(config: FamilyConfig, seed: int) -> FamilialModel:
@@ -332,18 +326,14 @@ def param_count(model: FamilialModel) -> dict:
 
 
 def set_freeze(model: FamilialModel, freeze_predicate: Callable[[str], bool]) -> dict[str, bool]:
-    """Set the freeze mask from a predicate over parameter names (True = freeze).
-
-    Mirrors the mask into each tensor's requires_grad so frozen subgraphs
-    drop out of backward entirely.
+    """Freeze the parameters whose names satisfy the predicate and unfreeze
+    the rest, by clearing or setting their `requires_grad`: frozen subgraphs
+    drop out of backward, and training gives them no moments. Returns the
+    resulting `freeze_mask`.
     """
-    mask = {}
     for name, p in named_parameters(model):
-        frozen = bool(freeze_predicate(name))
-        mask[name] = frozen
-        p.requires_grad = not frozen
-    model.freeze_mask = mask
-    return mask
+        p.requires_grad = not freeze_predicate(name)
+    return model.freeze_mask
 
 
 def copy_model(model: FamilialModel) -> FamilialModel:

@@ -75,7 +75,10 @@ def k_matmul(a: Array, b: Array) -> Array:
 
 def _rmsnorm(x: Array, gamma: Array, eps: float) -> tuple[Array, Array]:
     """`k_rmsnorm` and the inverse RMS that its gradient reuses."""
-    inv = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.asarray(eps, x.dtype))
+    # sum / width gives np.mean's bits (its float64 quotient rounds to the
+    # same float32) without np.mean's Python-level wrapper on one-row calls
+    mean_sq = np.sum(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(mean_sq + np.asarray(eps, x.dtype))
     inv = inv.astype(x.dtype)
     return x * inv * gamma, inv
 
@@ -212,7 +215,7 @@ def _accumulate(t: Tensor, g: Array) -> None:
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
     if t.grad is None:
-        t.grad = g.copy() if g.base is not None or g.shape != t.data.shape else g
+        t.grad = g.copy() if g.base is not None else g
     else:
         t.grad = t.grad + g
 
@@ -225,19 +228,6 @@ def _make(data: Array, parents: Sequence[Tensor], bwd) -> Tensor:
         out._parents = tuple(parents)
         out._bwd = bwd
     return out
-
-
-def _reduce_broadcast(g: Array, shape) -> Array:
-    """Sum gradient over axes that were broadcast in the forward op."""
-    if g.shape == tuple(shape):
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def backward(loss: Tensor) -> None:
@@ -287,29 +277,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a2, g2 = a2.reshape(-1, a2.shape[-1]), g.reshape(-1, g.shape[-1])
         if a.requires_grad:
             ga = (g2 @ np.swapaxes(b.data, -1, -2)).reshape(g.shape[:-1] + (b.data.shape[-2],))
-            _accumulate(a, _reduce_broadcast(ga, a.data.shape))
+            _accumulate(a, ga)
         if b.requires_grad:
-            _accumulate(b, _reduce_broadcast(np.swapaxes(a2, -1, -2) @ g2, b.data.shape))
+            _accumulate(b, np.swapaxes(a2, -1, -2) @ g2)
 
     return _make(out_data, (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add does not broadcast: {a.data.shape} + {b.data.shape}")
+
     def bwd(g: Array) -> None:
         if a.requires_grad:
-            _accumulate(a, _reduce_broadcast(g, a.data.shape))
+            _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, _reduce_broadcast(g, b.data.shape))
+            _accumulate(b, g)
 
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul does not broadcast: {a.data.shape} * {b.data.shape}")
+
     def bwd(g: Array) -> None:
         if a.requires_grad:
-            _accumulate(a, _reduce_broadcast(g * b.data, a.data.shape))
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            _accumulate(b, _reduce_broadcast(g * a.data, b.data.shape))
+            _accumulate(b, g * a.data)
 
     return _make(a.data * b.data, (a, b), bwd)
 

@@ -1,5 +1,6 @@
 """Joint optimization of all branches: weighted loss aggregation,
-warmup-cosine learning rate, AdamW with freeze-mask-aware moments.
+warmup-cosine learning rate, AdamW with moments for trainable parameters
+(`requires_grad` set) only.
 
 The total objective is a weighted sum of per-branch causal LM losses; the
 final branch always carries weight 1.0 while auxiliary branch weights
@@ -174,18 +175,18 @@ class TrainState:
     moments_v: dict[str, np.ndarray] = field(default_factory=dict)
     metrics: list[StepMetrics] = field(default_factory=list)
 
-    def sync_moments(self) -> None:
-        """Moments exist exactly for trainable parameters."""
-        frozen = self.model.freeze_mask
-        params = dict(named_parameters(self.model))
-        for name in list(self.moments_m):
-            if name not in params or frozen.get(name, False):
-                del self.moments_m[name]
-                del self.moments_v[name]
-        for name, p in params.items():
-            if not frozen.get(name, False) and name not in self.moments_m:
+    def sync_moments(self) -> list[tuple[str, Tensor]]:
+        """Moments exist exactly for trainable parameters, which are returned."""
+        trainable = [(n, p) for n, p in named_parameters(self.model) if p.requires_grad]
+        names = {n for n, _ in trainable}
+        for name in [n for n in self.moments_m if n not in names]:
+            del self.moments_m[name]
+            del self.moments_v[name]
+        for name, p in trainable:
+            if name not in self.moments_m:
                 self.moments_m[name] = np.zeros_like(p.data)
                 self.moments_v[name] = np.zeros_like(p.data)
+        return trainable
 
 
 def targets_for(batch: np.ndarray) -> np.ndarray:
@@ -200,7 +201,7 @@ def train_step(state: TrainState, batch: np.ndarray) -> StepMetrics:
     """One joint step: forward all branches, Eq-style weighted loss,
     backward, global-norm clip, AdamW on unfrozen parameters."""
     model, cfg = state.model, state.config
-    state.sync_moments()
+    trainable = state.sync_moments()
     lambdas = lambda_at(state.schedule, state.step)
 
     logits = forward_all_branches(model, batch)
@@ -211,8 +212,6 @@ def train_step(state: TrainState, batch: np.ndarray) -> StepMetrics:
     if not all(np.isfinite(loss_values)) or not np.isfinite(float(total.data)):
         raise DivergenceError(f"non-finite loss at step {state.step}: {loss_values}")
 
-    trainable = [(n, p) for n, p in named_parameters(model)
-                 if not model.freeze_mask.get(n, False)]
     lr = lr_at(cfg, state.step)
     grad_norm = 0.0
     all_frozen = not trainable
@@ -244,7 +243,7 @@ def train_step(state: TrainState, batch: np.ndarray) -> StepMetrics:
             if cfg.weight_decay and p.data.ndim >= 2:  # decay matrices, not norm gains
                 update = update + cfg.weight_decay * p.data
             p.data -= np.float32(lr) * update
-        for _, p in named_parameters(model):
+        for _, p in trainable:
             p.grad = None
 
     metrics = StepMetrics(step=state.step, branch_losses=loss_values,

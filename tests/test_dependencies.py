@@ -1,7 +1,8 @@
 """familykit's one runtime dependency is numpy: every module imports only the
 standard library, numpy or familykit itself. scipy and other packages may be
 installed next to it but are not declared, so an import of one would break
-an install that has only what pyproject.toml asks for."""
+an install that has only what pyproject.toml asks for. Every module-level
+import is also used: one that is not is left over from deleted code."""
 
 import ast
 import sys
@@ -24,3 +25,25 @@ def test_src_imports_only_stdlib_and_numpy():
             foreign += [f"{module.name}: {n}" for n in names
                         if n.split(".")[0] not in ALLOWED]
     assert not foreign, foreign
+
+
+# modules whose imports are their API: the package exports and the kernel namespace
+REEXPORTS = {"__init__.py", "kernels.py"}
+
+
+def test_src_module_imports_are_used():
+    unused = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name in REEXPORTS:
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{module.name}: {name}" for name in bound if name not in used]
+    assert not unused, unused

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from familykit import inference
 from familykit.data import BOS
 from familykit.errors import ConfigError, InputError
 from familykit.inference import ExitPolicy, GenerationTrace, TokenRecord, confidence, generate
@@ -113,6 +114,28 @@ def test_no_position_layer_recompute_lazy_and_always(trained_small):
                                                        backfill=backfill),
                  max_new=16, state_out=state_out)
         assert max(state_out[0].exec_count.values()) <= 1
+
+
+def test_evaluated_exits_read_back_without_recompute(trained_small, monkeypatch):
+    # every (branch, position) evaluated while decoding is read back after
+    # generation from the stored rows: no block runs again, same bits
+    seen = []
+    real = inference.confidence
+    monkeypatch.setattr(inference, "confidence", lambda row: seen.append(row) or real(row))
+    for backfill in ("lazy", "always"):
+        seen.clear()
+        state_out = []
+        trace = generate(trained_small, _prompt(4), ExitPolicy(threshold=0.6, backfill=backfill),
+                         max_new=20, state_out=state_out)
+        state = state_out[0]
+        counts = dict(state.exec_count)
+        logits = iter(seen)
+        for r in trace.records:
+            pos = len(trace.prompt) - 1 + r.step
+            for k in range(len(r.confidences)):
+                assert np.array_equal(state.exit_logits(k, pos), next(logits)), (k, pos)
+        assert next(logits, None) is None
+        assert state.exec_count == counts and set(counts.values()) == {1}
 
 
 def test_lazy_and_always_backfill_agree(trained_small):

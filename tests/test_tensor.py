@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import finite_difference_grads, mean_all, sum_all
 
 from familykit.errors import (DegenerateBatchError, GraphError, InputError, ShapeError)
-from familykit.tensor import (Tensor, backward, causal_mask, cross_entropy, embedding,
+from familykit.tensor import (Tensor, add, backward, causal_mask, cross_entropy, embedding,
                               k_masked_softmax, k_matmul, k_softmax, matmul, masked_softmax,
                               mul, pad_keys, reshape, rmsnorm, rope, rope_tables, silu,
                               transpose)
@@ -162,6 +162,18 @@ def test_rmsnorm_scalar_loop_oracle():
             assert abs(out[i, j] - float(x[i, j]) * inv * float(g[j])) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rmsnorm_matches_mean_formula_bitwise(dtype):
+    # the mean square is a sum divided by the width; np.mean is the reference
+    for seed, shape in enumerate([(1, 32), (7, 32), (2, 3, 259), (4, 1)]):
+        for scale in (1e-3, 1.0, 1e3):
+            x, g = rand(shape, seed, dtype) * dtype(scale), rand(shape[-1], seed + 10, dtype)
+            ms = np.mean(np.square(x), axis=-1, keepdims=True)
+            inv = (1.0 / np.sqrt(ms + np.asarray(1e-5, dtype))).astype(dtype)
+            out = rmsnorm(Tensor(x, dtype=dtype), Tensor(g, dtype=dtype), 1e-5).data
+            assert out.dtype == dtype and np.array_equal(out, x * inv * g)
+
+
 def test_rmsnorm_requires_positive_eps():
     with pytest.raises(InputError):
         rmsnorm(Tensor(rand(4)), Tensor(np.ones(4)), eps=0.0)
@@ -229,6 +241,16 @@ def test_backward_quadratic_closed_form():
     backward(sum_all(mul(y, y)))
     expected = 2.0 * (w.data @ x.data) @ x.data.T
     assert np.max(np.abs(w.grad - expected)) < 1e-5
+
+
+def test_add_and_mul_reject_operands_of_different_shapes():
+    a = Tensor(rand((2, 3)), requires_grad=True)
+    for b in (rand(3), rand((1, 3)), rand((2, 2, 3))):
+        for op in (add, mul):
+            with pytest.raises(ShapeError):
+                op(a, Tensor(b))
+        with pytest.raises(ShapeError):
+            a + b
 
 
 def test_backward_rejects_nonscalar():

@@ -198,6 +198,20 @@ def test_frozen_parameters_bit_identical_across_steps():
         assert (n in state.moments_m) == (not state.model.freeze_mask[n])
 
 
+def test_cleared_requires_grad_freezes_without_set_freeze():
+    # requires_grad is the one record of freezing: a parameter cleared
+    # directly gets no moment and no update, weight decay included
+    state = _small_state(seed=4)
+    w_q = state.model.backbone[0].w_q
+    w_q.requires_grad = False
+    before = w_q.data.copy()
+    for step in range(3):
+        train_step(state, _batch(step))
+    assert np.array_equal(before, w_q.data)
+    assert "backbone.0.w_q" not in state.moments_m
+    assert state.model.freeze_mask["backbone.0.w_q"]
+
+
 def test_divergence_aborts():
     state = _small_state(seed=4)
     state.model.backbone[0].w_q.data[:] = np.nan
