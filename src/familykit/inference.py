@@ -1,12 +1,25 @@
 """Confidence-thresholded early-exit decoding with shared KV state.
 
 Per new token the allowed exits are evaluated shallow to deep; the first
-whose max softmax probability reaches the threshold emits. Every block
-keeps a KV cache, its output rows and a frontier (the positions it has
-run), so no (position, block) pair is ever computed twice. When a token
-exits early, deeper layers for its position are skipped; under the default
-"lazy" policy they run only when a later token actually climbs that deep
-("always" backfills immediately after each emission).
+whose max softmax probability reaches the threshold emits, otherwise the
+final exit does. Every block keeps a KV cache, its output rows and a
+frontier (the positions it has run), so a (position, block) pair runs
+again only after a rollback has discarded it.
+
+Decoding is self-speculative. The shallowest exit runs at each new
+position: where it fires, its token is final; elsewhere its token is a
+draft, pushed so that the next position can run. Once a window of drafts
+is open, each deeper exit runs in turn over the positions still undecided,
+one multi-row call per block, and the first exit that fires at a position
+(or the final one) decides its token. Positions are accepted in order up
+to the first decided token that differs from its draft, which takes the
+decided token; `GenState.rollback` forgets every position after it. The
+window halves after a rejection and doubles after a fully accepted one,
+between 1 and `ROW_TILE` undecided positions. When a token exits early,
+deeper layers for its position are skipped; under the default "lazy"
+policy they run only when a later position climbs that deep, and
+"always" backfills every pushed position through every block after each
+verified window.
 
 Each block step is the model's own `block_forward` run over the raw
 kernels of `familykit.kernels`, with a hook that writes the step's keys
@@ -14,8 +27,10 @@ and values into the cache and returns the whole zero-filled `ctx_len`
 cache: the key extent that a full-prefix forward pads to. With the
 row-stable kernels a row's result is then independent of how many rows
 run with it, so cached logits are bit-identical to a full-prefix forward
-of the same depth. The RoPE tables and the causal mask are built for all
-`ctx_len` positions once per stream; each step slices its rows.
+of the same depth, and a verified row equals the same row decoded alone:
+tokens, confidences and exits are those of one-token-at-a-time decoding.
+The RoPE tables and the causal mask are built for all `ctx_len` positions
+once per stream; each step slices its rows.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ from .data import EOS
 from .errors import ConfigError, InputError
 from .model import BlockWeights, FamilialModel, FamilyConfig, block_forward, head_logits
 from .rng import SplitRng
-from .tensor import causal_mask, k_softmax, rope_tables
+from .tensor import ROW_TILE, causal_mask, k_softmax, rope_tables
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,8 @@ class ExitPolicy:
             raise ConfigError("allowed exits must be nonempty and include the final branch")
         if any(not 0 <= e < cfg.n_branches for e in exits):
             raise ConfigError("allowed exit out of range")
+        if len(set(exits)) != len(exits):
+            raise ConfigError(f"allowed exits must be distinct, got {self.allowed_exits}")
         if self.mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown decode mode {self.mode!r}")
         if self.backfill not in ("lazy", "always"):
@@ -92,7 +109,9 @@ def confidence(logits_row: np.ndarray) -> float:
     row = np.asarray(logits_row, dtype=np.float64)
     if not np.all(np.isfinite(row)):
         raise InputError("confidence requires finite logits")
-    return float(np.max(k_softmax(row, axis=-1)))
+    # the softmax of the top entry, exp(0) / sum: the same bits as the
+    # largest entry of the whole softmax, because rounded division is monotone
+    return float(1.0 / np.sum(np.exp(row - np.max(row))))
 
 
 EMBEDDING = ("embedding",)  # GenState buffer key of the embedded rows
@@ -104,7 +123,13 @@ class GenState:
     Every block that has run keeps, under its KV cache key, the residual
     rows it produced and its frontier. Backbone layer 0 reads the embedded
     rows (key `EMBEDDING`), each later layer the one before it, and branch
-    k's first block backbone layer `exit_depths[k] - 1`.
+    k's first block backbone layer `exit_depths[k] - 1`. `generate`
+    advances blocks lazily, or under "always" backfills every pushed
+    position through every block after each verified window, and rolls
+    back the positions after a rejected draft. `exec_count` counts the runs
+    of each (block, position) pair and `discarded_rows` the rows that
+    rollbacks threw away, so that every row ever run is either under a
+    frontier or discarded.
     """
 
     def __init__(self, model: FamilialModel):
@@ -121,12 +146,31 @@ class GenState:
         self.cos, self.sin = rope_tables(np.arange(cfg.ctx_len), cfg.head_dim, cfg.rope_base)
         self.mask = causal_mask(cfg.ctx_len, cfg.ctx_len)
         self.exec_count: dict[tuple, int] = {}
+        self.discarded_rows = 0
 
     def push_token(self, token: int) -> None:
         if token < 0 or token >= self.cfg.vocab:
             raise InputError(f"token id {token} outside vocab")
+        if self.n_positions >= self.cfg.ctx_len:
+            raise InputError(f"context of {self.cfg.ctx_len} positions is full")
         self.rows[EMBEDDING][self.n_positions] = self.model.embedding.data[token]
         self.n_positions += 1
+
+    def rollback(self, n: int) -> None:
+        """Forget every position from `n` on: each frontier above `n` comes
+        back to `n`, and the rows and KV entries past it are zeroed, as if
+        those positions had never been pushed."""
+        if not 0 <= n <= self.n_positions:
+            raise InputError(f"cannot roll {self.n_positions} positions back to {n}")
+        for key, stop in self.frontier.items():
+            if stop > n:
+                self.discarded_rows += stop - n
+                self.rows[key][n:stop] = 0
+                for buf in self.cache[key]:
+                    buf[:, :, n:stop] = 0
+                self.frontier[key] = n
+        self.rows[EMBEDDING][n:self.n_positions] = 0
+        self.n_positions = n
 
     def _block_rows(self, block: BlockWeights, rows: np.ndarray, start: int,
                     key: tuple, name: str) -> np.ndarray:
@@ -176,19 +220,56 @@ class GenState:
                   for j, block in enumerate(self.model.exits[branch].blocks)]
         return self._advance(blocks, ("backbone", depth - 1) if depth else EMBEDDING, pos)
 
-    def exit_logits(self, branch: int, pos: int) -> np.ndarray:
-        """Vocabulary row for `branch` at position `pos` (advancing lazily)."""
-        self.advance_backbone(pos, self.cfg.exit_depths[branch])
-        h = self.rows[self.ensure_branch(branch, pos)][pos][None, None]  # (1, 1, hidden)
-        return head_logits(self.model.exits[branch], h, self.cfg, branch,
-                           ops=kernels)[0, 0]
+    def exit_logits(self, branch: int, positions: list[int]) -> np.ndarray:
+        """Vocabulary rows (len(positions), vocab) of `branch` at the
+        ascending `positions`, advancing every block on its path lazily up
+        to the last of them, one call per block."""
+        last = positions[-1]
+        self.advance_backbone(last, self.cfg.exit_depths[branch])
+        h = self.rows[self.ensure_branch(branch, last)][positions][None]  # (1, n, hidden)
+        return head_logits(self.model.exits[branch], h, self.cfg, branch, ops=kernels)[0]
 
 
-def _decode_token(logits: np.ndarray, policy: ExitPolicy, rng: SplitRng | None) -> int:
+def _decode_token(logits: np.ndarray, policy: ExitPolicy, u: float) -> int:
+    """Greedy argmax, or the inverse CDF of the tempered softmax at the
+    step's uniform `u`."""
     if policy.mode == "greedy":
         return int(np.argmax(logits))  # argmax takes the lowest index on ties
     probs = k_softmax(np.asarray(logits, np.float64) / policy.temperature, axis=-1)
-    return rng.choice_from_probs(probs)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
+def _verify(state: GenState, records: list[TokenRecord], undecided: list[int], base: int,
+            deeper: tuple[int, ...], policy: ExitPolicy, uniforms: list[float]) -> bool:
+    """Decide the drafted `records[i]` for i in `undecided` (record i
+    queries position base + i) exit by exit through `deeper`, each exit in
+    one call over the positions still undecided. A position that decides a
+    token other than its draft takes that token and ends the window: the
+    records after it are dropped, and deeper exits skip their positions.
+    Returns whether that happened."""
+    rejected = False
+    for k in deeper:
+        if not undecided:
+            break
+        still = []
+        for i, logits in zip(undecided, state.exit_logits(k, [base + i for i in undecided])):
+            record = records[i]
+            conf = confidence(logits)
+            record.confidences.append(conf)
+            if conf < policy.threshold and k != deeper[-1]:
+                still.append(i)
+                continue
+            token = _decode_token(logits, policy, uniforms[record.step])
+            record.exit_branch, record.exit_depth = k, state.cfg.exit_depths[k]
+            if token != record.token_id:
+                record.token_id = token
+                del records[i + 1:]
+                rejected = True
+                break
+        undecided = still
+    return rejected
 
 
 def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
@@ -198,7 +279,10 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
     Exits are evaluated shallowest first; the first confidence >= threshold
     emits, otherwise the final branch does. Exceeding the context window
     sets `truncated` instead of erroring. Greedy mode is fully
-    deterministic; sampling uses the policy seed.
+    deterministic; sampling draws one uniform per step from the policy
+    seed and takes the inverse CDF of the deciding exit's distribution at
+    it. The shallowest exit drafts and deeper exits verify (see the module
+    notes); the trace is that of decoding one token at a time.
     """
     cfg = model.config
     exits = policy.resolve_exits(cfg)
@@ -217,32 +301,45 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
     for t in prompt:
         state.push_token(t)
     trace = GenerationTrace(prompt=list(prompt))
+    first, final = exits[0], exits[-1]
+    uniforms: list[float] = []  # one per step, drawn once; a redone step reuses its own
+    window = ROW_TILE
 
-    for step in range(max_new):
-        query = state.n_positions - 1
-        confidences: list[float] = []
-        chosen = exits[-1]
-        logits = None
-        for k in exits:
-            logits = state.exit_logits(k, query)
+    while len(trace.records) < max_new:
+        base = state.n_positions - 1
+        records: list[TokenRecord] = []
+        undecided: list[int] = []
+        while True:  # draft until `window` positions are undecided or decoding must stop
+            step = len(trace.records) + len(records)
+            if step == len(uniforms):
+                uniforms.append(float(rng.uniform(())) if rng else 0.0)
+            logits = state.exit_logits(first, [state.n_positions - 1])[0]
             conf = confidence(logits)
-            confidences.append(conf)
-            if conf >= policy.threshold:
-                chosen = k
+            token = _decode_token(logits, policy, uniforms[step])
+            records.append(TokenRecord(step=step, token_id=token, exit_branch=first,
+                                       exit_depth=cfg.exit_depths[first], confidences=[conf]))
+            if conf < policy.threshold and first != final:
+                undecided.append(len(records) - 1)
+            if (token == EOS or state.n_positions >= cfg.ctx_len or step + 1 == max_new
+                    or len(undecided) == window):
                 break
-        token = _decode_token(logits, policy, rng)
-        trace.records.append(TokenRecord(
-            step=step, token_id=token, exit_branch=chosen,
-            exit_depth=cfg.exit_depths[chosen], confidences=confidences))
-        trace.tokens.append(token)
-        if token == EOS:
-            break
-        if state.n_positions >= cfg.ctx_len:
-            trace.truncated = True
-            break
-        state.push_token(token)
-        if policy.backfill == "always":
-            state.advance_backbone(query, cfg.n_layers)
+            state.push_token(token)
+
+        rejected = _verify(state, records, undecided, base, exits[1:], policy, uniforms)
+        state.rollback(base + len(records))
+        trace.records += records
+        trace.tokens += [r.token_id for r in records]
+        token = records[-1].token_id
+        stop = token == EOS or state.n_positions >= cfg.ctx_len
+        trace.truncated = stop and token != EOS
+        if not stop:
+            state.push_token(token)
+        if policy.backfill == "always" and state.n_positions > len(prompt):
+            # every position whose token has been pushed, as after each token
+            state.advance_backbone(state.n_positions - 2, cfg.n_layers)
             for k in exits:
-                state.ensure_branch(k, query)
+                state.ensure_branch(k, state.n_positions - 2)
+        if stop:
+            break
+        window = max(window // 2, 1) if rejected else min(window * 2, ROW_TILE)
     return trace

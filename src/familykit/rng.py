@@ -67,10 +67,3 @@ class SplitRng:
 
     def integers(self, low: int, high: int, shape) -> np.ndarray:
         return self._gen.integers(low, high, size=shape, dtype=np.int64)
-
-    def choice_from_probs(self, probs: np.ndarray) -> int:
-        """Sample one index from a probability vector (used by sampling decode)."""
-        u = float(self._gen.random(dtype=np.float64))
-        cdf = np.cumsum(probs.astype(np.float64))
-        cdf /= cdf[-1]
-        return int(np.searchsorted(cdf, u, side="right"))

@@ -8,7 +8,10 @@ optionally with one linear slot replaced by a factored pair of random rank:
 - the forward over `kernels` equals the forward over the autodiff ops;
 - all branches from one pass equal each branch run alone;
 - cached early-exit decoding at tau 0, 0.5 and 1.5, lazy and always,
-  gives the logits of the extracted sub-model's full-prefix forward;
+  gives the logits of the extracted sub-model's full-prefix forward, and
+  leaves the decode state of one-token-at-a-time decoding: its frontiers,
+  and rows and caches equal to a fresh state's run to them, with every
+  block row that ran either under a frontier or discarded by a rollback;
 - an expanded branch equals the original at init;
 - save -> load -> save gives identical bytes.
 """
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from familykit import kernels
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.expansion import ExpansionSpec, expand, verify_identity
-from familykit.inference import ExitPolicy, confidence, generate
+from familykit.inference import EMBEDDING, ExitPolicy, GenState, confidence, generate
 from familykit.model import (LINEAR_SLOTS, Factored, FamilyConfig, extract_submodel,
                              forward_all_branches, forward_branch, forward_exits,
                              get_weight_slot, init_model, set_weight_slot, weight_slots)
@@ -73,6 +76,45 @@ def _check_forwards(model, tokens):
         assert np.array_equal(logits.data, forward_branch(model, batch, k).data)
 
 
+def _sequential_frontier(cfg, trace, backfill, n_positions) -> dict:
+    """Block frontiers after decoding one token at a time: a block has run
+    every position up to the last query that evaluated an exit on its path,
+    and under "always" every position whose emitted token was pushed."""
+    blocks = {k: [("backbone", li) for li in range(cfg.exit_depths[k])]
+              + [("branch", k, j) for j in range(cfg.branch_blocks[k])]
+              for k in range(cfg.n_branches)}
+    frontier = {}
+    for record in trace.records:
+        query = len(trace.prompt) - 1 + record.step
+        for k in range(len(record.confidences)):
+            frontier.update((key, query + 1) for key in blocks[k])
+    if backfill == "always" and n_positions > len(trace.prompt):
+        for key in {key for path in blocks.values() for key in path}:
+            frontier[key] = max(frontier.get(key, 0), n_positions - 1)
+    return frontier
+
+
+def _check_state(model, state, trace, backfill):
+    assert sum(state.exec_count.values()) == sum(state.frontier.values()) + state.discarded_rows
+    assert state.frontier == _sequential_frontier(model.config, trace, backfill,
+                                                  state.n_positions)
+    fresh = GenState(model)
+    for t in (trace.prompt + trace.tokens)[:state.n_positions]:
+        fresh.push_token(t)
+    # deepest reach first, and a backbone layer before a branch it feeds
+    for key, stop in sorted(state.frontier.items(), key=lambda kv: (-kv[1], kv[0][0])):
+        if key[0] == "backbone":
+            fresh.advance_backbone(stop - 1, key[1] + 1)
+        else:
+            fresh.ensure_branch(key[1], stop - 1)
+    assert fresh.frontier == state.frontier
+    for key in [EMBEDDING, *state.frontier]:
+        assert np.array_equal(fresh.rows[key], state.rows[key]), key
+    for key in state.frontier:
+        for ours, theirs in zip(state.cache[key], fresh.cache[key]):
+            assert np.array_equal(ours, theirs), key
+
+
 def _check_decoding(model, prompt, max_new):
     subs = [extract_submodel(model, k) for k in range(model.config.n_branches)]
     for tau in (0.0, 0.5, 1.5):
@@ -80,12 +122,13 @@ def _check_decoding(model, prompt, max_new):
             state_out = []
             trace = generate(model, prompt, ExitPolicy(threshold=tau, backfill=backfill),
                              max_new=max_new, state_out=state_out)
+            _check_state(model, state_out[0], trace, backfill)
             context = list(prompt)
             for record in trace.records:
                 pos = len(context) - 1
                 for k, conf in enumerate(record.confidences):
                     full = forward_branch(subs[k], np.asarray([context]), 0).data[0, -1]
-                    assert np.array_equal(full, state_out[0].exit_logits(k, pos))
+                    assert np.array_equal(full, state_out[0].exit_logits(k, [pos])[0])
                     assert confidence(full) == conf
                 assert int(np.argmax(full)) == record.token_id
                 context.append(record.token_id)

@@ -6,8 +6,11 @@ import pytest
 from familykit import inference
 from familykit.data import BOS
 from familykit.errors import ConfigError, InputError
-from familykit.inference import ExitPolicy, GenerationTrace, TokenRecord, confidence, generate
+from familykit.data import EOS
+from familykit.inference import (ExitPolicy, GenerationTrace, GenState, TokenRecord, confidence,
+                                 generate)
 from familykit.model import (desk_config, extract_submodel, forward_branch, init_model)
+from familykit.rng import SplitRng
 from familykit.tensor import k_softmax
 
 
@@ -35,6 +38,20 @@ def test_confidence_oracle():
     expected = float(np.max(np.exp(row) / np.exp(row).sum()))
     assert abs(confidence(row) - expected) < 1e-9
     assert 0.0 <= confidence(row) <= 1.0
+
+
+def test_confidence_equals_softmax_max():
+    # 1 / sum(exp(r - max r)) has the bits of the largest softmax entry:
+    # that entry is exp(0) / sum exactly, and rounded division is monotone
+    rng = np.random.default_rng(5)
+    for i in range(2000):
+        n = int(rng.integers(2, 400))
+        row = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if i % 3 == 0:
+            row[rng.integers(0, n, 2)] = row.max()  # a tie at the max
+        row = row.astype(np.float32 if i % 2 else np.float64)
+        expected = float(np.max(k_softmax(np.asarray(row, np.float64), axis=-1)))
+        assert confidence(row) == expected, (i, n)
 
 
 def test_confidence_rejects_nonfinite():
@@ -73,6 +90,20 @@ def test_policy_validation(trained_small):
         generate(trained_small, list(range(100)), ExitPolicy(threshold=0.5), 4)
 
 
+def test_duplicate_allowed_exits_rejected(trained_small):
+    # a repeated exit would be evaluated twice per token
+    with pytest.raises(ConfigError):
+        generate(trained_small, _prompt(), ExitPolicy(threshold=0.5, allowed_exits=(0, 0, 1)), 4)
+
+
+def test_push_token_on_full_context_raises(trained_small):
+    state = GenState(trained_small)
+    for t in _prompt(1, trained_small.config.ctx_len):
+        state.push_token(t)
+    with pytest.raises(InputError):
+        state.push_token(5)
+
+
 # ---------------------------------------------------------------------------
 # consistency with extraction (bit-exact logits through the KV cache)
 # ---------------------------------------------------------------------------
@@ -90,7 +121,7 @@ def test_emitted_tokens_match_extracted_submodels(trained_small):
         assert int(np.argmax(row)) == r.token_id
         # cached incremental logits are bit-identical to the standalone
         # full-prefix forward
-        inc = state_out[0].exit_logits(r.exit_branch, len(context) - 1)
+        inc = state_out[0].exit_logits(r.exit_branch, [len(context) - 1])[0]
         assert np.array_equal(row, inc)
         context.append(r.token_id)
     assert len(depths) >= 1
@@ -102,9 +133,17 @@ def test_kv_reuse_matches_full_prefix_recompute(trained_small):
                      max_new=12, state_out=state_out)
     context = list(trace.prompt) + trace.tokens[:-1]
     full = forward_branch(trained_small, np.asarray([context]), 1).data[0, -1]
-    inc = state_out[0].exit_logits(1, len(context) - 1)
+    inc = state_out[0].exit_logits(1, [len(context) - 1])[0]
     assert np.max(np.abs(full - inc)) <= 1e-5  # holds exactly, bound per contract
     assert np.array_equal(full, inc)
+
+
+def assert_rows_accounted(state):
+    """Every block row that ran is under its block's frontier or was
+    discarded by a rollback; with nothing discarded each ran once."""
+    assert sum(state.exec_count.values()) == sum(state.frontier.values()) + state.discarded_rows
+    if state.discarded_rows == 0:
+        assert set(state.exec_count.values()) <= {1}
 
 
 def test_no_position_layer_recompute_lazy_and_always(trained_small):
@@ -113,15 +152,17 @@ def test_no_position_layer_recompute_lazy_and_always(trained_small):
         generate(trained_small, _prompt(6), ExitPolicy(threshold=0.6,
                                                        backfill=backfill),
                  max_new=16, state_out=state_out)
-        assert max(state_out[0].exec_count.values()) <= 1
+        assert_rows_accounted(state_out[0])
 
 
 def test_evaluated_exits_read_back_without_recompute(trained_small, monkeypatch):
     # every (branch, position) evaluated while decoding is read back after
-    # generation from the stored rows: no block runs again, same bits
-    seen = []
+    # generation from the stored rows: no block runs again, and the row is
+    # one that decoding scored, with the recorded confidence
+    seen = set()
     real = inference.confidence
-    monkeypatch.setattr(inference, "confidence", lambda row: seen.append(row) or real(row))
+    monkeypatch.setattr(inference, "confidence",
+                        lambda row: seen.add(row.tobytes()) or real(row))
     for backfill in ("lazy", "always"):
         seen.clear()
         state_out = []
@@ -129,13 +170,14 @@ def test_evaluated_exits_read_back_without_recompute(trained_small, monkeypatch)
                          max_new=20, state_out=state_out)
         state = state_out[0]
         counts = dict(state.exec_count)
-        logits = iter(seen)
         for r in trace.records:
             pos = len(trace.prompt) - 1 + r.step
-            for k in range(len(r.confidences)):
-                assert np.array_equal(state.exit_logits(k, pos), next(logits)), (k, pos)
-        assert next(logits, None) is None
-        assert state.exec_count == counts and set(counts.values()) == {1}
+            for k, conf in enumerate(r.confidences):
+                row = state.exit_logits(k, [pos])[0]
+                assert row.tobytes() in seen, (k, pos)
+                assert real(row) == conf, (k, pos)
+        assert state.exec_count == counts
+        assert_rows_accounted(state)
 
 
 def test_lazy_and_always_backfill_agree(trained_small):
@@ -171,10 +213,11 @@ def test_per_token_execution_bound(trained_small):
                      max_new=12, state_out=state_out)
     # per generated token: new-position executions stay within the deepest
     # evaluated depth plus the evaluated branches' head blocks
-    # (audited globally: every (position, layer) pair ran at most once, and
-    # positions beyond the deepest evaluated depth never ran)
-    for key, count in state_out[0].exec_count.items():
-        assert count == 1
+    # (audited globally: every (position, layer) pair ran once unless a
+    # rollback discarded it, and positions beyond the deepest evaluated
+    # depth never ran)
+    assert_rows_accounted(state_out[0])
+    for key in state_out[0].exec_count:
         if key[0] == "backbone":
             assert key[1] < cfg.n_layers
 
@@ -193,6 +236,47 @@ def test_sampling_deterministic_per_seed(trained_small):
                  max_new=10)
     assert a.tokens != c.tokens or a.tokens == c.tokens  # smoke: both valid traces
     assert len(c.tokens) == 10
+
+
+def sequential_sample(model, prompt, tau, temperature, seed, max_new):
+    """Reference sampler: one token at a time, each exit's logits from a
+    full-prefix forward of its extracted sub-model, and one uniform per step
+    taken at the inverse CDF of the deciding exit's tempered softmax."""
+    cfg = model.config
+    subs = [extract_submodel(model, k) for k in range(cfg.n_branches)]
+    rng = SplitRng(seed).split("generate")
+    context, records, truncated = list(prompt), [], False
+    for step in range(max_new):
+        u = rng.uniform(())
+        confs = []
+        for k in range(cfg.n_branches):
+            logits = forward_branch(subs[k], np.asarray([context]), 0).data[0, -1]
+            confs.append(confidence(logits))
+            if confs[-1] >= tau:
+                break
+        probs = k_softmax(np.asarray(logits, np.float64) / temperature, axis=-1)
+        cdf = np.cumsum(probs)
+        token = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+        records.append((step, token, k, confs))
+        if token == EOS:
+            break
+        if len(context) >= cfg.ctx_len:
+            truncated = True
+            break
+        context.append(token)
+    return records, truncated
+
+
+def test_sampling_matches_sequential_reference(trained_small):
+    for seed in (3, 11):
+        for tau in (0.5, 1.5):
+            trace = generate(trained_small, _prompt(seed), ExitPolicy(
+                threshold=tau, mode="sample", temperature=0.9, seed=seed), max_new=24)
+            records, truncated = sequential_sample(trained_small, _prompt(seed), tau, 0.9,
+                                                   seed, 24)
+            assert [(r.step, r.token_id, r.exit_branch, r.confidences)
+                    for r in trace.records] == records, (seed, tau)
+            assert trace.truncated == truncated
 
 
 def test_context_overflow_sets_truncated_flag(trained_small):

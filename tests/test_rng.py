@@ -53,8 +53,9 @@ def test_permutation_deterministic():
     assert sorted(p1.tolist()) == list(range(50))
 
 
-def test_choice_from_probs_deterministic():
-    probs = np.array([0.1, 0.2, 0.7])
-    a = SplitRng(4).split("s").choice_from_probs(probs)
-    b = SplitRng(4).split("s").choice_from_probs(probs)
-    assert a == b and 0 <= a < 3
+def test_scalar_uniform_deterministic():
+    # sampling decode draws one scalar uniform per step
+    a, b = SplitRng(4).split("s"), SplitRng(4).split("s")
+    draws = [float(a.uniform(())) for _ in range(5)]
+    assert draws == [float(b.uniform(())) for _ in range(5)]
+    assert all(0.0 <= u < 1.0 for u in draws) and len(set(draws)) == 5
