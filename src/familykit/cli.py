@@ -1,9 +1,12 @@
 """familykit command line: train | expand | compress | eval | generate | analyze | export.
 
 Every command is a pure function of (config, inputs, seed); artifacts land
-under --out. Exit codes: 0 ok, 2 config error (including a path that
-cannot be read or written), 3 data error, 4 numeric or divergence error,
-5 integrity error.
+under --out. `main` reads every command's inputs before the command runs:
+the `--section.key=value` overrides, which need `--config`, the run config,
+and the paths, where a flag wins over the config's `paths` section. Any
+other argument is an error. Exit codes (`EXIT_CODES`): 0 ok, 2 config error
+(including a path that cannot be read or written), 3 data error, 4 numeric
+or divergence error, 5 integrity error, 1 any other familykit error.
 """
 
 from __future__ import annotations
@@ -21,35 +24,38 @@ from .checkpoint import (OptimizerSnapshot, ensure_compatible, load_checkpoint,
                          save_checkpoint)
 from .compression import (apply_compression, build_plan, capture_activations,
                           measure_compression)
-from .config import RunConfig, load_run_config, parse_overrides
+from .config import Paths, load_run_config, parse_overrides
 from .data import BOS, ByteTokenizer, WindowSampler, load_corpus
 from .errors import (ConfigError, DataError, FamilyKitError, IntegrityError,
                      NumericError)
 from .evaluation import branch_perplexity
-from .expansion import (ablation_run, cosine_csv_rows, expand, layer_cosine_similarity,
-                        verify_identity)
+from .expansion import (ablation_run, cosine_csv_rows, expand, grown_scope,
+                        layer_cosine_similarity, verify_identity)
 from .inference import ExitPolicy, generate
-from .model import (BLOCK_MATRICES, FamilyConfig, extract_submodel, init_model,
-                    param_count)
+from .model import extract_submodel, init_model, param_count
 from .rng import SplitRng
 from .training import (LambdaSchedule, TrainState, run_training, write_metrics_csv)
 
 log = logging.getLogger("familykit")
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_INTEGRITY = 5
+# (exception class, exit code, message prefix), most specific first
+EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (DataError, 3, "data error"),
+    (NumericError, 4, "numeric error"),
+    (IntegrityError, 5, "integrity error"),
+    (FamilyKitError, 1, "error"),
+    (OSError, 2, "config error"),
+)
 
 
-def _out_dir(args, cfg: RunConfig | None) -> Path:
+def _out_dir(args) -> Path:
     """The output directory, not yet created: a command that is rejected
     before writing its first artifact leaves nothing behind."""
-    out = args.out or (cfg.out if cfg else None)
-    if not out:
+    if not args.paths.out:
         raise ConfigError("an output directory is required (--out or paths.out)")
-    return Path(out)
+    return Path(args.paths.out)
 
 
 def _artifact(out: Path, name: str) -> Path:
@@ -58,32 +64,33 @@ def _artifact(out: Path, name: str) -> Path:
     return out / name
 
 
-def _corpus_ids(cfg: RunConfig) -> np.ndarray:
-    if not cfg.corpus:
-        raise ConfigError("paths.corpus is required for this command")
-    if not Path(cfg.corpus).exists():
-        raise ConfigError(f"corpus path {cfg.corpus} does not exist")
-    return load_corpus(cfg.corpus)
+def _corpus_ids(path: str | None, source: str) -> np.ndarray:
+    """The token ids of the corpus at `path`, which `source` names."""
+    if not path:
+        raise ConfigError(f"this command needs {source}")
+    if not Path(path).exists():
+        raise ConfigError(f"corpus path {path} does not exist")
+    return load_corpus(path)
 
 
-def _load_model(args, cfg: RunConfig | None, expected=None):
-    ckpt = args.checkpoint or (cfg.checkpoint if cfg else None)
+def _load_model(args, expected=None):
+    ckpt = args.paths.checkpoint
     if not ckpt:
         raise ConfigError("a checkpoint is required (--checkpoint or paths.checkpoint)")
     model, seed, optim = load_checkpoint(ckpt)
-    if expected is None and cfg is not None:
-        expected = cfg.model
+    if expected is None and args.cfg is not None:
+        expected = args.cfg.model
     if expected is not None:
         ensure_compatible(expected, model.config, f"checkpoint {ckpt}")
     return model, seed, optim
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, parse_overrides(args.override))
+    cfg = args.cfg
     if cfg.train is None:
         raise ConfigError("train command needs a train section")
-    out = _out_dir(args, cfg)
-    ids = _corpus_ids(cfg)
+    out = _out_dir(args)
+    ids = _corpus_ids(args.paths.corpus, "paths.corpus")
     schedule = cfg.schedule_or_default()
     state = None
     if args.resume:
@@ -111,16 +118,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    overrides = parse_overrides(args.override)
-    if args.init:
-        overrides.append(("expansion.init_mode", args.init))
-    cfg = load_run_config(args.config, overrides)
+    cfg = args.cfg
     if cfg.expansion is None or cfg.train is None:
         raise ConfigError("expand command needs expansion and train sections")
-    out = _out_dir(args, cfg)
-    model, _, _ = _load_model(args, cfg)
-    ids = _corpus_ids(cfg)
-    spec = cfg.expansion
+    out = _out_dir(args)
+    model, _, _ = _load_model(args)
+    ids = _corpus_ids(args.paths.corpus, "paths.corpus")
+    spec = replace(cfg.expansion, init_mode=args.init) if args.init else cfg.expansion
 
     expanded, report = expand(model, spec)
     probe_rng = SplitRng(cfg.seed).split("identity-probe")
@@ -151,50 +155,33 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _compression_scope(cfg: RunConfig) -> tuple[FamilyConfig, set[str]]:
-    """The post-expansion config the checkpoint must have, and the names of
-    the matrices compression factors in it: the expanded blocks and the head."""
+def cmd_compress(args) -> int:
+    cfg = args.cfg
+    if cfg.compression is None:
+        raise ConfigError("compress command needs a compression section")
     if cfg.expansion is None:
         raise ConfigError("compress command needs the expansion section that produced "
                           "the checkpoint (to locate the expanded blocks)")
-    target, n_new = cfg.expansion.target_branch, cfg.expansion.n_new_blocks
-    if not 0 <= target < cfg.model.n_branches:
-        raise ConfigError(f"expansion.target_branch {target} is not a branch of the model")
-    bb = list(cfg.model.branch_blocks)
-    bb[target] += n_new
-    names = {f"exits.{target}.blocks.{j}.{m}"
-             for j in range(bb[target] - n_new, bb[target])
-             for m in BLOCK_MATRICES}
-    names.add(f"exits.{target}.lm_proj")
-    return replace(cfg.model, branch_blocks=tuple(bb)), names
-
-
-def cmd_compress(args) -> int:
-    cfg = load_run_config(args.config, parse_overrides(args.override))
-    if cfg.compression is None:
-        raise ConfigError("compress command needs a compression section")
-    expected, scope_names = _compression_scope(cfg)
-    out = _out_dir(args, cfg)
-    model, seed, _ = _load_model(args, cfg, expected=expected)
+    expected, scope = grown_scope(cfg.model, cfg.expansion)
+    out = _out_dir(args)
+    model, seed, _ = _load_model(args, expected=expected)
     comp = cfg.compression
 
-    calib_source = cfg.eval_corpus or cfg.corpus
-    if not calib_source or not Path(calib_source).exists():
-        raise ConfigError("compress needs paths.eval_corpus or paths.corpus for calibration")
-    ids = load_corpus(calib_source)
+    # calibration and the perplexity check read the same corpus
+    ids = _corpus_ids(args.paths.eval_corpus or args.paths.corpus,
+                      "paths.eval_corpus or paths.corpus for calibration")
     sampler = WindowSampler(ids, comp.calib_tokens, 1, cfg.seed)
     rng = SplitRng(cfg.seed).split("calibration")
     n = min(comp.calib_sequences, sampler.n_windows)
     picks = rng.permutation(sampler.n_windows)[:n]
     calib_tokens = np.stack([sampler.window(int(w)) for w in picks])
 
-    calib = capture_activations(model, calib_tokens, scope=lambda name: name in scope_names)
+    calib = capture_activations(model, calib_tokens, scope=scope)
     plan = build_plan(model, calib, comp.ratio)
     compressed = apply_compression(model, plan)
     _artifact(out, "plan.json").write_text(json.dumps(plan.to_dict(), indent=2) + "\n",
                                    encoding="utf-8")
-    eval_ids = load_corpus(cfg.eval_corpus) if cfg.eval_corpus else ids
-    report = measure_compression(model, compressed, eval_ids,
+    report = measure_compression(model, compressed, ids,
                                  cfg.expansion.target_branch, plan)
     _artifact(out, "measure.csv").write_text("\n".join(report.csv_rows()) + "\n", encoding="utf-8")
     save_checkpoint(_artifact(out, "checkpoint"), compressed, seed)
@@ -205,13 +192,9 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, parse_overrides(args.override)) if args.config else None
-    model, _, _ = _load_model(args, cfg)
-    corpus = args.eval_corpus or (cfg.eval_corpus if cfg else None)
-    if not corpus:
-        raise ConfigError("eval needs --eval-corpus or paths.eval_corpus")
-    ids = load_corpus(corpus)
-    out = _out_dir(args, cfg)
+    model, _, _ = _load_model(args)
+    ids = _corpus_ids(args.paths.eval_corpus, "--eval-corpus or paths.eval_corpus")
+    out = _out_dir(args)
     rows = ["branch,exit_depth,perplexity"]
     print(f"{'branch':>6} {'depth':>6} {'perplexity':>12}")
     for k in range(model.config.n_branches):
@@ -223,15 +206,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_run_config(args.config, parse_overrides(args.override)) if args.config else None
-    model, _, _ = _load_model(args, cfg)
-    out = _out_dir(args, cfg)
+    model, _, _ = _load_model(args)
+    out = _out_dir(args)
     tok = ByteTokenizer()
     prompt = [BOS] + list(tok.encode(args.prompt))
     policy = ExitPolicy(threshold=args.tau,
                         mode="sample" if args.sample else "greedy",
                         temperature=args.temperature,
-                        seed=args.seed if args.seed is not None else (cfg.seed if cfg else 0),
+                        seed=args.seed if args.seed is not None
+                        else (args.cfg.seed if args.cfg else 0),
                         backfill=args.backfill)
     trace = generate(model, prompt, policy, max_new=args.max_new)
     text = tok.decode_text(trace.tokens)
@@ -245,9 +228,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_run_config(args.config, parse_overrides(args.override)) if args.config else None
-    model, _, _ = _load_model(args, cfg)
-    out = _out_dir(args, cfg)
+    model, _, _ = _load_model(args)
+    out = _out_dir(args)
     tok = ByteTokenizer()
     tokens = np.asarray([BOS] + list(tok.encode(args.text)))
     scores, labels, degenerate = layer_cosine_similarity(model, tokens, branch=args.branch)
@@ -259,9 +241,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = load_run_config(args.config, parse_overrides(args.override)) if args.config else None
-    model, seed, _ = _load_model(args, cfg)
-    out = _out_dir(args, cfg)
+    model, seed, _ = _load_model(args)
+    out = _out_dir(args)
     sub = extract_submodel(model, args.branch)
     save_checkpoint(_artifact(out, "checkpoint"), sub, seed)
     counts = param_count(sub)
@@ -275,20 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="multi-exit transformer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, needs_checkpoint=False):
+    def common(p, needs_config=True, loads_checkpoint=True):
         p.add_argument("--config", required=needs_config, default=None)
-        p.add_argument("--checkpoint", required=needs_checkpoint, default=None)
+        if loads_checkpoint:  # optional: the config's paths.checkpoint stands in
+            p.add_argument("--checkpoint", default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("train", help="joint multi-branch training")
-    common(p)
+    common(p, loads_checkpoint=False)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--stop-at", type=int, default=None,
                    help="pause after this step; resume continues the same schedule")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("expand", help="stabilized block expansion + frozen-backbone training")
-    common(p, needs_checkpoint=True)
+    common(p)
     p.add_argument("--ablate", action="store_true",
                    help="run randomized and clone arms, emit two-arm trace CSV")
     p.add_argument("--init", choices=("randomized", "clone"), default=None,
@@ -296,17 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("compress", help="whitened SVD compression of expanded blocks")
-    common(p, needs_checkpoint=True)
+    common(p)
     p.set_defaults(fn=cmd_compress)
 
     p = sub.add_parser("eval", help="per-branch perplexity")
-    common(p, needs_config=False, needs_checkpoint=True)
+    common(p, needs_config=False)
     p.add_argument("--eval-corpus", default=None)
     p.add_argument("--window", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("generate", help="early-exit decoding")
-    common(p, needs_config=False, needs_checkpoint=True)
+    common(p, needs_config=False)
     p.add_argument("--prompt", required=True)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--max-new", type=int, default=64)
@@ -317,44 +299,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("analyze", help="per-layer input/output cosine similarity")
-    common(p, needs_config=False, needs_checkpoint=True)
+    common(p, needs_config=False)
     p.add_argument("--text", default="A fox sat on a box")
     p.add_argument("--branch", type=int, default=None)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("export", help="extract one branch as a standalone model")
-    common(p, needs_config=False, needs_checkpoint=True)
+    common(p, needs_config=False)
     p.add_argument("--branch", type=int, required=True)
     p.set_defaults(fn=cmd_export)
 
     return parser
 
 
+def _read_inputs(args, extra: list[str]) -> None:
+    """Parse the overrides, load the run config into `args.cfg` and resolve
+    the paths into `args.paths`, each flag over the config's `paths`."""
+    overrides = parse_overrides(extra)
+    if args.config is None and overrides:
+        raise ConfigError(f"overrides need --config: {extra}")
+    args.cfg = load_run_config(args.config, overrides) if args.config else None
+    flags = {name: getattr(args, name, None) for name in ("checkpoint", "out", "eval_corpus")}
+    args.paths = replace(args.cfg.paths if args.cfg else Paths(),
+                         **{name: value for name, value in flags.items() if value})
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    args.override = extra
+    args, extra = build_parser().parse_known_args(argv)
     try:
+        _read_inputs(args, extra)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except IntegrityError as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except FamilyKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        _, code, prefix = next(entry for entry in EXIT_CODES if isinstance(exc, entry[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

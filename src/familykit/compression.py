@@ -250,10 +250,9 @@ class CompressionPlan:
 
 
 def group_of(name: str) -> str:
-    """One group per decoder block, one shared group for vocabulary heads."""
-    if ".blocks." in name:
-        return name.rsplit(".", 1)[0]
-    return "heads"
+    """One group per decoder block, backbone or branch, and one shared group
+    for the vocabulary heads."""
+    return "heads" if name.endswith(".lm_proj") else name.rsplit(".", 1)[0]
 
 
 def _matrix(model: FamilialModel, name: str) -> np.ndarray:

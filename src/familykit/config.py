@@ -36,7 +36,7 @@ class CompressionConfig:
 
 
 @dataclass(frozen=True)
-class _Paths:
+class Paths:
     corpus: str | None = None
     eval_corpus: str | None = None
     checkpoint: str | None = None
@@ -47,14 +47,11 @@ class _Paths:
 class RunConfig:
     seed: int
     model: FamilyConfig
+    paths: Paths
     train: TrainConfig | None = None
     lambda_schedule: LambdaSchedule | None = None
     expansion: ExpansionSpec | None = None
     compression: CompressionConfig | None = None
-    corpus: str | None = None
-    eval_corpus: str | None = None
-    checkpoint: str | None = None
-    out: str | None = None
 
     def schedule_or_default(self) -> LambdaSchedule:
         if self.lambda_schedule is not None:
@@ -147,11 +144,10 @@ def build_run_config(doc: dict, overrides: list[tuple[str, str]] = ()) -> RunCon
     if "compression" in doc:
         compression = from_fields(CompressionConfig, doc["compression"], "compression")
 
-    paths = from_fields(_Paths, doc.get("paths", {}), "paths")
-    return RunConfig(seed=seed, model=model, train=train, lambda_schedule=schedule,
-                     expansion=expansion, compression=compression,
-                     corpus=paths.corpus, eval_corpus=paths.eval_corpus,
-                     checkpoint=paths.checkpoint, out=paths.out)
+    return RunConfig(seed=seed, model=model,
+                     paths=from_fields(Paths, doc.get("paths", {}), "paths"),
+                     train=train, lambda_schedule=schedule,
+                     expansion=expansion, compression=compression)
 
 
 def load_run_config(path: str | Path, overrides: list[tuple[str, str]] = ()) -> RunConfig:

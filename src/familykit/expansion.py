@@ -13,14 +13,15 @@ from __future__ import annotations
 import copy
 import logging
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .data import ByteTokenizer
 from .errors import ConfigError
-from .model import (BLOCK_MATRICES, BLOCK_NORMS, FamilialModel, FamilyConfig, copy_model,
-                    forward_exits, init_block, param_count, set_freeze)
+from .model import (FamilialModel, FamilyConfig, copy_model, forward_exits, init_block,
+                    param_count, set_freeze)
 from .rng import SplitRng
 from .training import (LambdaSchedule, TrainConfig, TrainState, run_training)
 
@@ -70,6 +71,23 @@ def _new_block(cfg: FamilyConfig, model: FamilialModel, spec: ExpansionSpec, ind
     return block
 
 
+def grown_scope(cfg: FamilyConfig,
+                spec: ExpansionSpec) -> tuple[FamilyConfig, Callable[[str], bool]]:
+    """The config that `spec` grows `cfg` into, and a test of whether a
+    parameter or matrix name lies in the grown part: the new blocks of the
+    target branch and its vocabulary projection. Expansion trains exactly
+    that part, and compression factors its matrices."""
+    target, n_new = spec.target_branch, spec.n_new_blocks
+    if not 0 <= target < cfg.n_branches:
+        raise ConfigError(f"target_branch {target} is not a branch of the model")
+    bb = list(cfg.branch_blocks)
+    bb[target] += n_new
+    head = f"exits.{target}.lm_proj"
+    prefixes = tuple(f"exits.{target}.blocks.{j}." for j in range(bb[target] - n_new, bb[target]))
+    return (replace(cfg, branch_blocks=tuple(bb)),
+            lambda name: name == head or name.startswith(prefixes + (head + ".",)))
+
+
 def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, ExpansionReport]:
     """Append spec.n_new_blocks zero-residual blocks to the target branch.
 
@@ -77,24 +95,13 @@ def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, Ex
     branch's vocabulary projection is frozen.
     """
     cfg = model.config
-    if not 0 <= spec.target_branch < cfg.n_branches:
-        raise ConfigError(f"target_branch {spec.target_branch} out of range")
+    grown_config, grown = grown_scope(cfg, spec)
     expanded = copy_model(model)
-    head = expanded.exits[spec.target_branch]
     before = param_count(expanded)["total"]
     for i in range(spec.n_new_blocks):
-        head.blocks.append(_new_block(cfg, expanded, spec, i))
-
-    bb = list(cfg.branch_blocks)
-    bb[spec.target_branch] += spec.n_new_blocks
-    expanded.config = replace(cfg, branch_blocks=tuple(bb))
-
-    new_names = {f"exits.{spec.target_branch}.blocks.{j}.{m}"
-                 for j in range(len(head.blocks) - spec.n_new_blocks, len(head.blocks))
-                 for m in BLOCK_MATRICES + BLOCK_NORMS}
-    head_name = f"exits.{spec.target_branch}.lm_proj"
-    frozen = set_freeze(expanded, lambda name: not (
-        name in new_names or name == head_name or name.startswith(head_name + ".")))
+        expanded.exits[spec.target_branch].blocks.append(_new_block(cfg, expanded, spec, i))
+    expanded.config = grown_config
+    frozen = set_freeze(expanded, lambda name: not grown(name))
 
     added = param_count(expanded)["total"] - before
     report = ExpansionReport(
@@ -107,7 +114,7 @@ def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, Ex
 
 
 def verify_identity(base_model: FamilialModel, expanded_model: FamilialModel,
-                    probe_batch: np.ndarray, branch: int | None = None) -> float:
+                    probe_batch: np.ndarray, branch: int) -> float:
     """Max |logit difference| between base and expanded branch on a probe.
 
     Must be exactly 0.0 before any training step: the zeroed projections
@@ -115,11 +122,6 @@ def verify_identity(base_model: FamilialModel, expanded_model: FamilialModel,
     """
     if base_model.config.vocab != expanded_model.config.vocab:
         raise ConfigError("models have different vocabularies")
-    if branch is None:  # infer the expanded branch from the block counts
-        diffs = [k for k, (a, b) in enumerate(zip(base_model.config.branch_blocks,
-                                                  expanded_model.config.branch_blocks))
-                 if a != b]
-        branch = diffs[0] if diffs else base_model.config.n_branches - 1
     base = forward_exits(base_model, probe_batch, [branch], ops=kernels)[0]
     grown = forward_exits(expanded_model, probe_batch, [branch], ops=kernels)[0]
     return float(np.max(np.abs(grown - base)))

@@ -173,7 +173,7 @@ class GenState:
         self.n_positions = n
 
     def _block_rows(self, block: BlockWeights, rows: np.ndarray, start: int,
-                    key: tuple, name: str) -> np.ndarray:
+                    key: tuple) -> np.ndarray:
         """Run one block on the residual rows of positions [start, stop),
         attending over its cached keys and values (zero beyond the rows
         written so far); returns the updated rows."""
@@ -188,35 +188,34 @@ class GenState:
             return keys, values
 
         out = block_forward(block, rows[None], self.cfg, self.cos[start:stop],
-                            self.sin[start:stop], self.mask[start:stop], name=name,
-                            ops=kernels, kv=kv)
+                            self.sin[start:stop], self.mask[start:stop], ops=kernels, kv=kv)
         return out[0]
 
-    def _advance(self, blocks: list[tuple[tuple, str, BlockWeights]], source: tuple,
+    def _advance(self, blocks: list[tuple[tuple, BlockWeights]], source: tuple,
                  pos: int) -> tuple:
-        """Run each of `blocks` ((key, name, weights), in path order) on the
+        """Run each of `blocks` ((key, weights), in path order) on the
         positions from its frontier to `pos`, off the rows of the block
         before it (the first off `source`); returns the last rows' key."""
-        for key, name, block in blocks:
+        for key, block in blocks:
             start = self.frontier.get(key, 0)
             if start <= pos:
                 self.rows[key][start:pos + 1] = self._block_rows(
-                    block, self.rows[source][start:pos + 1], start, key, name)
+                    block, self.rows[source][start:pos + 1], start, key)
                 self.frontier[key] = pos + 1
             source = key
         return source
 
     def advance_backbone(self, pos: int, depth: int) -> None:
         """Bring every position <= pos through the first `depth` backbone layers."""
-        self._advance([(("backbone", li), f"backbone.{li}", self.model.backbone[li])
-                       for li in range(depth)], EMBEDDING, pos)
+        self._advance([(("backbone", li), self.model.backbone[li]) for li in range(depth)],
+                      EMBEDDING, pos)
 
     def ensure_branch(self, branch: int, pos: int) -> tuple:
         """Run the blocks of `branch` for every position <= pos, whose
         backbone rows must already be there; returns the key of the rows
         its head reads."""
         depth = self.cfg.exit_depths[branch]
-        blocks = [(("branch", branch, j), f"exits.{branch}.blocks.{j}", block)
+        blocks = [(("branch", branch, j), block)
                   for j, block in enumerate(self.model.exits[branch].blocks)]
         return self._advance(blocks, ("backbone", depth - 1) if depth else EMBEDDING, pos)
 

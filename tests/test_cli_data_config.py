@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import desk_run_config, make_corpus
 
+from familykit import cli, errors
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.cli import main as cli_main
 from familykit.config import build_run_config, load_run_config, parse_overrides
@@ -300,6 +301,87 @@ def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
     good = {"--tau": "0.5", "--max-new": "0", "--window": "2", "--temperature": "0.9"}[flag]
     assert cli_main(argv + ["--out", str(tmp_path / "good"), flag, good]) == 0
     assert (tmp_path / "good" / artifact).exists()
+
+
+def _checkpoint_command(tmp_path, command) -> list[str]:
+    """A runnable `command` on a seeded desk checkpoint, without --out."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=5))
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=2), seed=2)
+    return [command, "--checkpoint", str(tmp_path / "c"), *{
+        "eval": ["--eval-corpus", str(corpus)],
+        "generate": ["--prompt", "the fox", "--max-new", "2"],
+        "analyze": [],
+        "export": ["--branch", "0"]}[command]]
+
+
+@pytest.mark.parametrize("stray", ["--x=1", "garbage"], ids=["override", "bare-word"])
+@pytest.mark.parametrize("command", ["eval", "generate", "analyze", "export"])
+def test_cli_stray_argument_without_config_exits_2(tmp_path, command, stray):
+    argv = _checkpoint_command(tmp_path, command)
+    assert cli_main(argv + ["--out", str(tmp_path / "bad"), stray]) == 2
+    assert not (tmp_path / "bad").exists()  # a rejected command leaves no --out behind
+    assert cli_main(argv + ["--out", str(tmp_path / "good")]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "generate", "analyze", "export"])
+def test_cli_overrides_with_config(tmp_path, command):
+    argv = _checkpoint_command(tmp_path, command)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_doc()))
+    argv += ["--config", str(cfg)]
+    for bad in ("--model.nope=1", "garbage"):
+        assert cli_main(argv + ["--out", str(tmp_path / "bad"), bad]) == 2
+        assert not (tmp_path / "bad").exists()
+    assert cli_main(argv + ["--out", str(tmp_path / "good"), "--train.total_steps=100"]) == 0
+
+
+def test_cli_checkpoint_from_config_paths(tmp_path):
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=2), seed=2)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(desk_run_config(tmp_path / "corpus.txt",
+                                              checkpoint=str(tmp_path / "c"))))
+    assert cli_main(["export", "--config", str(cfg), "--branch", "0",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "checkpoint" / "manifest.json").exists()
+    # no checkpoint at all, or one given to train, which loads none, exits 2
+    assert cli_main(["export", "--branch", "0", "--out", str(tmp_path / "x")]) == 2
+    assert cli_main(["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "t")]) == 2
+    assert not (tmp_path / "x").exists() and not (tmp_path / "t").exists()
+
+
+def test_cli_exit_codes_table(monkeypatch, capsys):
+    coded = {errors.ConfigError: 2, errors.DataError: 3, errors.NumericError: 4,
+             errors.IntegrityError: 5}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.FamilyKitError)]
+    for cls in classes + [OSError]:
+        expected = 2 if cls is OSError else next(
+            (code for base, code in coded.items() if issubclass(cls, base)), 1)
+
+        _, code, prefix = next(entry for entry in cli.EXIT_CODES if issubclass(cls, entry[0]))
+        assert code == expected, cls
+
+        def fail(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "cmd_export", fail)
+        capsys.readouterr()
+        assert cli_main(["export", "--checkpoint", "c", "--branch", "0"]) == expected, cls
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+def test_cli_expand_init_flag_sets_init_mode(mini_pipeline, tmp_path):
+    root, cfg = mini_pipeline["root"], mini_pipeline["cfg"]
+    argv = ["expand", "--config", str(cfg), "--checkpoint", str(root / "t" / "checkpoint"),
+            "--train.total_steps=2", "--train.warmup_steps=0"]
+    metrics = {}
+    for name, extra in [("flag", ["--init", "clone"]),
+                        ("override", ["--expansion.init_mode=clone"]),
+                        ("randomized", [])]:
+        assert cli_main(argv + extra + ["--out", str(tmp_path / name)]) == 0
+        metrics[name] = (tmp_path / name / "metrics.csv").read_bytes()
+    assert metrics["flag"] == metrics["override"] != metrics["randomized"]
 
 
 def test_cli_exit_codes(mini_pipeline, tmp_path):

@@ -321,6 +321,16 @@ def test_plan_grouping_is_per_block_plus_heads(plan_and_calib):
     assert sum(g.startswith("exits.0.blocks.") for g in groups) == 3
 
 
+def test_backbone_matrices_group_by_block(trained_small):
+    calib_tokens = np.random.default_rng(56).integers(0, 256, (8, 48))
+    calib = capture_activations(trained_small, calib_tokens,
+                                lambda name: name.startswith("backbone."))
+    plan = build_plan(trained_small, calib, 0.4)
+    assert len(plan.entries) == 4 * len(BLOCK_MATRICES)
+    assert {group_of(e.name) for e in plan.entries} == {f"backbone.{i}" for i in range(4)}
+    assert group_of("exits.1.lm_proj") == "heads"
+
+
 def test_apply_compression_swaps_only_planned_slots(expanded, plan_and_calib):
     plan, _ = plan_and_calib
     before = {n: p.data.copy() for n, p in named_parameters(expanded)}

@@ -5,10 +5,11 @@ from conftest import make_corpus
 
 from familykit.errors import ConfigError
 from familykit.expansion import (ExpansionSpec, ablation_run, cosine_csv_rows, expand,
-                                 layer_cosine_similarity, token_cosines,
+                                 grown_scope, layer_cosine_similarity, token_cosines,
                                  verify_identity)
-from familykit.model import (Factored, block_forward, desk_config, forward_branch, init_model,
-                             named_parameters, param_count)
+from familykit.model import (BLOCK_MATRICES, LINEAR_SLOTS, Factored, block_forward,
+                             desk_config, forward_branch, init_model, named_parameters,
+                             param_count, weight_slots)
 from familykit.tensor import Tensor, causal_mask, rope_tables
 from familykit.training import (LambdaSchedule, TrainConfig, TrainState, run_training,
                                 train_step)
@@ -26,7 +27,7 @@ def base_model():
 def test_identity_at_init_exact(base_model):
     grown, report = expand(base_model, ExpansionSpec(target_branch=0, seed=1))
     for seed in range(5):
-        assert verify_identity(base_model, grown, _probe(seed)) == 0.0
+        assert verify_identity(base_model, grown, _probe(seed), 0) == 0.0
     assert report.identity_deviation == 0.0
 
 
@@ -70,6 +71,18 @@ def test_trainable_set_is_new_blocks_plus_lm_head_exactly(base_model):
     assert sorted(report.trainable) == sorted(expected)
 
 
+def test_grown_scope_selects_the_matrices_compression_factors(base_model):
+    spec = ExpansionSpec(target_branch=0, n_new_blocks=3, seed=1)
+    config, grown = grown_scope(base_model.config, spec)
+    expanded, _ = expand(base_model, spec)
+    assert config == expanded.config
+    linear = [name for name, _, attr in weight_slots(expanded) if attr in LINEAR_SLOTS]
+    expected = {f"exits.0.blocks.{j}.{m}" for j in (1, 2, 3) for m in BLOCK_MATRICES}
+    assert {name for name in linear if grown(name)} == expected | {"exits.0.lm_proj"}
+    with pytest.raises(ConfigError):
+        grown_scope(base_model.config, ExpansionSpec(target_branch=2))
+
+
 def test_clone_mode_copies_internals_then_zeroes_outputs(base_model):
     spec = ExpansionSpec(target_branch=0, n_new_blocks=1, init_mode="clone",
                          clone_source=1, seed=6)
@@ -79,13 +92,13 @@ def test_clone_mode_copies_internals_then_zeroes_outputs(base_model):
     for mat in ("w_q", "w_k", "w_v", "w_gate", "w_up"):
         assert np.array_equal(getattr(new, mat).data, getattr(src, mat).data)
     assert np.all(new.w_o.data == 0.0) and np.all(new.w_down.data == 0.0)
-    assert verify_identity(base_model, grown, _probe(6)) == 0.0
+    assert verify_identity(base_model, grown, _probe(6), 0) == 0.0
 
 
 def test_clone_of_factored_source_zeroes_outputs_dense(base_model):
-    # a compressed source block holds its output projections as factor pairs
+    # a compressed source block holds its projections as factor pairs
     src = base_model.backbone[1]
-    for slot in ("w_o", "w_down"):
+    for slot in ("w_q", "w_o", "w_down"):
         w = getattr(src, slot).data
         setattr(src, slot, Factored(b=Tensor(w[:, :2], requires_grad=True),
                                     a=Tensor(np.eye(2, w.shape[1], dtype=np.float32),
@@ -94,7 +107,9 @@ def test_clone_of_factored_source_zeroes_outputs_dense(base_model):
                                                 init_mode="clone", clone_source=1, seed=6))
     new = grown.exits[0].blocks[-1]
     assert np.all(new.w_o.data == 0.0) and np.all(new.w_down.data == 0.0)
-    assert verify_identity(base_model, grown, _probe(6)) == 0.0
+    assert verify_identity(base_model, grown, _probe(6), 0) == 0.0
+    # the cloned factor pair is part of the new block, so it trains
+    assert not any(grown.freeze_mask[f"exits.0.blocks.1.w_q.{f}"] for f in "AB")
 
 
 def test_clone_source_out_of_range(base_model):
@@ -118,7 +133,7 @@ def test_deviation_positive_after_one_step_and_backbone_frozen(base_model):
     probe = _probe(8)
     for step in range(3):
         train_step(state, _probe(100 + step))
-    assert verify_identity(base_model, grown, probe) > 0.0
+    assert verify_identity(base_model, grown, probe, 0) > 0.0
     for n, p in named_parameters(grown):
         if grown.freeze_mask[n]:
             assert np.array_equal(frozen_before[n], p.data), n
@@ -155,7 +170,7 @@ def test_non_target_branch_untouched(base_model):
 def test_vocab_mismatch_rejected(base_model):
     other = init_model(desk_config(vocab=128), seed=11)
     with pytest.raises(ConfigError):
-        verify_identity(base_model, other, _probe(11) % 128)
+        verify_identity(base_model, other, _probe(11) % 128, 0)
 
 
 # ---------------------------------------------------------------------------

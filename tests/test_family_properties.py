@@ -12,18 +12,21 @@ optionally with one linear slot replaced by a factored pair of random rank:
   leaves the decode state of one-token-at-a-time decoding: its frontiers,
   and rows and caches equal to a fresh state's run to them, with every
   block row that ran either under a frontier or discarded by a rollback;
+  under lazy backfill, after every verified window, no block has run past
+  the last position at which an exit that reads it was evaluated;
 - an expanded branch equals the original at init;
 - save -> load -> save gives identical bytes.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familykit import kernels
+from familykit import inference, kernels
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.expansion import ExpansionSpec, expand, verify_identity
 from familykit.inference import EMBEDDING, ExitPolicy, GenState, confidence, generate
@@ -76,13 +79,18 @@ def _check_forwards(model, tokens):
         assert np.array_equal(logits.data, forward_branch(model, batch, k).data)
 
 
+def _exit_paths(cfg) -> dict:
+    """The decode-state keys of the blocks that each exit reads."""
+    return {k: [("backbone", li) for li in range(cfg.exit_depths[k])]
+            + [("branch", k, j) for j in range(cfg.branch_blocks[k])]
+            for k in range(cfg.n_branches)}
+
+
 def _sequential_frontier(cfg, trace, backfill, n_positions) -> dict:
     """Block frontiers after decoding one token at a time: a block has run
     every position up to the last query that evaluated an exit on its path,
     and under "always" every position whose emitted token was pushed."""
-    blocks = {k: [("backbone", li) for li in range(cfg.exit_depths[k])]
-              + [("branch", k, j) for j in range(cfg.branch_blocks[k])]
-              for k in range(cfg.n_branches)}
+    blocks = _exit_paths(cfg)
     frontier = {}
     for record in trace.records:
         query = len(trace.prompt) - 1 + record.step
@@ -115,13 +123,41 @@ def _check_state(model, state, trace, backfill):
             assert np.array_equal(ours, theirs), key
 
 
+def _audited_verify(cfg):
+    """`inference._verify`, then a check of the window it verified: no
+    block's frontier passes one beyond the last position at which an exit
+    that reads the block has been evaluated, in this window or before. The
+    shallowest exit is evaluated at each drafted position (record i of a
+    window queries position base + i), a deeper exit at the positions that
+    `_verify` asks `exit_logits` for."""
+    paths, reach, verify = _exit_paths(cfg), {}, inference._verify
+
+    def evaluated(branch, pos):
+        for key in paths[branch]:
+            reach[key] = max(reach.get(key, 0), pos + 1)
+
+    def audited(state, records, undecided, base, *rest):
+        for i, record in enumerate(records):
+            evaluated(record.exit_branch, base + i)
+        with mock.patch.object(state, "exit_logits", wraps=state.exit_logits) as calls:
+            rejected = verify(state, records, undecided, base, *rest)
+        for (branch, positions), _ in calls.call_args_list:
+            evaluated(branch, positions[-1])
+        for key, stop in state.frontier.items():
+            assert stop <= reach.get(key, 0), (key, stop, reach.get(key, 0))
+        return rejected
+    return audited
+
+
 def _check_decoding(model, prompt, max_new):
     subs = [extract_submodel(model, k) for k in range(model.config.n_branches)]
     for tau in (0.0, 0.5, 1.5):
         for backfill in ("lazy", "always"):
             state_out = []
-            trace = generate(model, prompt, ExitPolicy(threshold=tau, backfill=backfill),
-                             max_new=max_new, state_out=state_out)
+            policy = ExitPolicy(threshold=tau, backfill=backfill)
+            verify = _audited_verify(model.config) if backfill == "lazy" else inference._verify
+            with mock.patch.object(inference, "_verify", verify):
+                trace = generate(model, prompt, policy, max_new=max_new, state_out=state_out)
             _check_state(model, state_out[0], trace, backfill)
             context = list(prompt)
             for record in trace.records:

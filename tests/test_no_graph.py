@@ -49,7 +49,7 @@ def test_no_grad_paths_build_no_graph(graph_nodes):
     paths = {
         "branch_perplexity": lambda: branch_perplexity(grown, ids, 0, window=32),
         "capture_activations": lambda: capture_activations(grown, tokens, lambda name: True),
-        "verify_identity": lambda: verify_identity(model, grown, tokens),
+        "verify_identity": lambda: verify_identity(model, grown, tokens, 0),
         "layer_cosine_similarity": lambda: layer_cosine_similarity(grown, tokens[0]),
         "generate": lambda: generate(grown, [256, 5, 9], ExitPolicy(threshold=0.5), 6),
     }
