@@ -167,9 +167,10 @@ def cmd_compress(args) -> int:
     model, seed, _ = _load_model(args, expected=expected)
     comp = cfg.compression
 
-    # calibration and the perplexity check read the same corpus
-    ids = _corpus_ids(args.paths.eval_corpus or args.paths.corpus,
-                      "paths.eval_corpus or paths.corpus for calibration")
+    # calibrate on the training text; measure on held-out text when there is one
+    ids = _corpus_ids(args.paths.corpus, "paths.corpus for calibration")
+    measure_ids = (_corpus_ids(args.paths.eval_corpus, "paths.eval_corpus")
+                   if args.paths.eval_corpus else ids)
     sampler = WindowSampler(ids, comp.calib_tokens, 1, cfg.seed)
     rng = SplitRng(cfg.seed).split("calibration")
     n = min(comp.calib_sequences, sampler.n_windows)
@@ -181,7 +182,7 @@ def cmd_compress(args) -> int:
     compressed = apply_compression(model, plan)
     _artifact(out, "plan.json").write_text(json.dumps(plan.to_dict(), indent=2) + "\n",
                                    encoding="utf-8")
-    report = measure_compression(model, compressed, ids,
+    report = measure_compression(model, compressed, measure_ids,
                                  cfg.expansion.target_branch, plan)
     _artifact(out, "measure.csv").write_text("\n".join(report.csv_rows()) + "\n", encoding="utf-8")
     save_checkpoint(_artifact(out, "checkpoint"), compressed, seed)

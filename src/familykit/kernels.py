@@ -1,6 +1,7 @@
 """Raw-array versions of the forward ops of `familykit.tensor`, same names.
 
-The compute ops are the very `k_*` kernels that the autodiff ops wrap;
+The compute ops are the very `k_*` kernels that the autodiff ops wrap,
+`attention` (`k_attention`, in place on its own score buffer) among them;
 `param`, `reshape` and `transpose` give the values and memory layout of
 their autodiff namesakes without recording a graph. Training runs
 `model.forward_exits` over `tensor`; evaluation, calibration, the identity
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, k_embedding as embedding, k_masked_softmax as masked_softmax,
+from .tensor import (Tensor, k_attention as attention, k_embedding as embedding,
                      k_matmul as matmul, k_pad_keys as pad_keys, k_rmsnorm as rmsnorm,
                      k_rope as rope, k_silu as silu)
 

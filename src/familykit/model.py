@@ -386,8 +386,10 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     keys and values are zero-padded to `ctx_len` unless `kv(k, v)` is
     given, which receives the rotated keys and values of these rows and
     returns all `ctx_len` of them (cached decoding writes its cache and
-    returns it whole). The query heads of one KV head are adjacent and
-    attend as one group of rep * T rows, so keys are never repeated.
+    returns it whole). Attention is one op, `ops.attention`: the query
+    heads of one KV head are adjacent and attend as one group of rep * T
+    rows, whose scores it views as (rep, T, ctx_len) so that `allowed`
+    broadcasts; keys, values and the mask are never repeated.
     """
     b, t, _ = h.shape
     dh, hq, hkv, n_keys = cfg.head_dim, cfg.q_heads, cfg.kv_heads, cfg.ctx_len
@@ -409,9 +411,7 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     else:
         k, v = ops.pad_keys(k, n_keys), ops.pad_keys(v, n_keys)
 
-    scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    probs = ops.masked_softmax(scores, np.concatenate([allowed] * rep)[None, None])
-    ctx = ops.reshape(ops.matmul(probs, v), (b, hq, t, dh))
+    ctx = ops.reshape(ops.attention(q, k, v, allowed, 1.0 / math.sqrt(dh)), (b, hq, t, dh))
     ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, t, cfg.hidden))
     h = h + apply_linear(ctx, block.w_o, f"{name}.w_o", tap, ops)
 

@@ -22,6 +22,14 @@ computed with it. That row-stability is what makes incremental decoding
 bit-equal to full-prefix forward passes. Gradients are never compared
 against a cached forward, so `matmul`'s backward calls `np.matmul` on the
 operands as they are.
+
+Attention is one op, `attention` over `k_attention`. Its scores are one
+buffer, scaled, masked, exponentiated and normalized in place: fresh
+full-size temporaries, not the arithmetic, were most of its cost. A kernel
+that overwrites an argument says so, and its callers pass a buffer they
+own. The hand-written backward keeps the operand layouts of separate
+`matmul`, `scale` and `masked_softmax` nodes, so values and gradients are
+theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -94,23 +102,51 @@ def k_softmax(x: Array, axis: int) -> Array:
 
 
 def k_masked_softmax(scores: Array, allowed: Array) -> Array:
-    """Softmax over the last axis restricted to `allowed` (bool) entries.
+    """Softmax over the last axis restricted to `allowed` (bool, broadcast
+    against `scores`), computed in place: `scores` is overwritten with the
+    probabilities and returned, so callers pass a C-contiguous buffer they
+    own.
 
-    Disallowed entries get probability exactly 0.0 without ever forming
-    non-finite intermediates, so causality holds bit-exactly, and nothing
-    of a row depends on its scores at disallowed entries. The denominator
-    is the tiled product `e @ ones`, so at a fixed key length (attention
-    always uses `ctx_len`) a row's probabilities are the same bits however
-    many rows share the call -- the property that makes cached decoding
-    match full-prefix forwards.
+    Disallowed entries become -inf, so their probability is exp(-inf) =
+    exactly 0.0: causality holds bit-exactly, and nothing of a row depends
+    on its scores at disallowed entries. The denominator is the tiled
+    product `e @ ones`, so at a fixed key length (attention always uses
+    `ctx_len`) a row's probabilities are the same bits however many rows
+    share the call -- the property that makes cached decoding match
+    full-prefix forwards.
     """
-    masked = np.where(allowed, scores, np.asarray(-np.inf, scores.dtype))
-    m = np.max(masked, axis=-1, keepdims=True)
-    # clamp keeps exp from overflowing on disallowed entries; allowed ones
-    # already satisfy scores <= m so the clamp never changes them
-    e = np.where(allowed, np.exp(np.minimum(scores - m, np.asarray(0.0, scores.dtype))),
-                 np.asarray(0.0, scores.dtype))
-    return e / k_matmul(e, np.ones((e.shape[-1], 1), e.dtype))
+    np.copyto(scores, -np.inf, where=~allowed)
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= k_matmul(scores, np.ones((scores.shape[-1], 1), scores.dtype))
+    return scores
+
+
+def _attention(q: Array, k: Array, v: Array, allowed: Array,
+               scale: float) -> tuple[Array, Array, Array]:
+    """`k_attention`, and the probabilities and transposed keys that its
+    gradient reuses."""
+    b, hkv, rows, _ = q.shape
+    t, n_keys = allowed.shape
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    s = k_matmul(q, kt)
+    # scaled in place, or into a fresh buffer where k_matmul returned a
+    # strided view of its padded tiles: the softmax then runs on contiguous
+    # rows, as in a full forward, whatever loop numpy picks for strided exp
+    s = np.multiply(s, np.asarray(scale, s.dtype), out=s if s.flags.c_contiguous else None)
+    p = k_masked_softmax(s.reshape(b, hkv, rows // t, t, n_keys), allowed).reshape(s.shape)
+    return k_matmul(p, v), p, kt
+
+
+def k_attention(q: Array, k: Array, v: Array, allowed: Array, scale: float) -> Array:
+    """softmax(scale * q k^T, masked to `allowed`) v for each (batch, KV head).
+
+    q is (B, Hkv, rep * T, Dh): the rep query heads of one KV head stacked
+    head-major, so keys and values (B, Hkv, L, Dh) are never repeated.
+    `allowed` is the (T, L) query-key mask, broadcast over the heads as the
+    scores are viewed (B, Hkv, rep, T, L).
+    """
+    return _attention(q, k, v, allowed, scale)[0]
 
 
 def _silu(x: Array) -> tuple[Array, Array]:
@@ -364,16 +400,45 @@ def rmsnorm(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
     return _make(out_data, (x, gamma), bwd)
 
 
+def _softmax_backward(p: Array, g: Array) -> Array:
+    """p * (g - rowsum(g * p)), the gradient through a softmax of output p,
+    computed in g's buffer, which it overwrites."""
+    g -= np.sum(g * p, axis=-1, keepdims=True)
+    g *= p
+    return g
+
+
 def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
     """Softmax over the last axis confined to `allowed` (bool, broadcastable)."""
-    allowed = np.broadcast_to(allowed, scores.data.shape)
-    p = k_masked_softmax(scores.data, allowed)
+    p = k_masked_softmax(scores.data.copy(), allowed)
 
     def bwd(g: Array) -> None:
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        _accumulate(scores, p * (g - dot))
+        _accumulate(scores, _softmax_backward(p, g.copy()))
 
     return _make(p, (scores,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, allowed: Array, scale: float) -> Tensor:
+    """`k_attention` as one node with parents (q, k, v). It keeps the
+    probabilities P, and its backward is that of FlashAttention (Dao et al.,
+    arXiv 2205.14135, App. B) without the tiling: dV = P^T g, dP = g V^T,
+    dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K, dK = (Q^T dS)^T."""
+    out_data, p, kt = _attention(q.data, k.data, v.data, allowed, scale)
+
+    def bwd(g: Array) -> None:
+        if v.requires_grad:
+            _accumulate(v, np.swapaxes(p, -1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = _softmax_backward(p, g @ np.swapaxes(v.data, -1, -2))
+        ds *= np.asarray(scale, ds.dtype)
+        if q.requires_grad:
+            _accumulate(q, ds @ np.swapaxes(kt, -1, -2))
+        if k.requires_grad:
+            dkt = np.swapaxes(q.data, -1, -2) @ ds
+            _accumulate(k, np.ascontiguousarray(np.swapaxes(dkt, -1, -2)))
+
+    return _make(out_data, (q, k, v), bwd)
 
 
 def causal_mask(t_q: int, t_k: int) -> Array:

@@ -230,6 +230,30 @@ def test_cli_artifacts_exist(mini_pipeline):
     assert (root / "c" / "measure.csv").exists()
 
 
+def test_cli_compress_calibrates_on_corpus_and_measures_on_eval_corpus(mini_pipeline,
+                                                                      monkeypatch):
+    root = mini_pipeline["root"]
+    held_out = root / "held_out.txt"
+    held_out.write_bytes(make_corpus(4 * 1024, seed=4).upper())  # shares no window
+    doc = json.loads(mini_pipeline["cfg"].read_text())
+    doc["paths"]["eval_corpus"] = str(held_out)
+    cfg = root / "run_eval.json"
+    cfg.write_text(json.dumps(doc))
+    seen = {}
+    for name, at in (("capture_activations", 1), ("measure_compression", 2)):  # token arg
+        def recorded(*args, _original=getattr(cli, name), _name=name, _at=at, **kw):
+            seen[_name] = np.asarray(args[_at])
+            return _original(*args, **kw)
+        monkeypatch.setattr(cli, name, recorded)
+    assert cli_main(["compress", "--config", str(cfg),
+                     "--checkpoint", str(root / "x" / "checkpoint"),
+                     "--out", str(root / "c_eval")]) == 0
+    train_bytes = mini_pipeline["corpus"].read_bytes()
+    for window in seen["capture_activations"]:
+        assert bytes(window.astype(np.uint8)) in train_bytes
+    assert np.array_equal(seen["measure_compression"], load_corpus(held_out))
+
+
 def test_cli_metrics_has_rows_per_branch(mini_pipeline):
     lines = (mini_pipeline["root"] / "t" / "metrics.csv").read_text().splitlines()
     assert lines[0] == "step,branch,loss,lambda,lr,grad_norm"

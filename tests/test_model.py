@@ -3,7 +3,7 @@ import pytest
 
 from conftest import cast_model, tiny_config
 
-from familykit import kernels, model as fk_model
+from familykit import kernels, model as fk_model, tensor
 from familykit.errors import ConfigError, InputError, ShapeError
 from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
@@ -226,6 +226,38 @@ def test_block_forward_rejects_mask_of_wrong_width():
     for mask in (causal_mask(5, 5), causal_mask(5, cfg.ctx_len + 1), causal_mask(4, cfg.ctx_len)):
         with pytest.raises(ShapeError):
             block_forward(model.backbone[0], h, cfg, cos, sin, mask, ops=kernels)
+
+
+def test_block_attention_is_one_node(monkeypatch):
+    # under `tensor`, a block's attention context is one node whose parents
+    # are the roped queries and the padded keys and values: no transpose,
+    # scale or masked_softmax node sits between them
+    cfg = desk_config()
+    model = init_model(cfg, seed=9)
+    t = 10
+    made = {"rope": [], "pad_keys": []}
+    for name in made:
+        def recorded(*args, _original=getattr(tensor, name), _made=made[name]):
+            _made.append(_original(*args))
+            return _made[-1]
+        monkeypatch.setattr(tensor, name, recorded)
+    linear_inputs = {}
+    cos, sin = rope_tables(np.arange(t), cfg.head_dim, cfg.rope_base)
+    block_forward(model.backbone[0], tensor.Tensor(model.embedding.data[np.arange(t)][None]),
+                  cfg, cos, sin, causal_mask(t, cfg.ctx_len),
+                  tap=lambda name, x: linear_inputs.setdefault(name, x))
+
+    def kind(node):
+        return node._bwd.__qualname__.split(".")[0]
+
+    node = linear_inputs[".w_o"]
+    while kind(node) in ("reshape", "transpose"):
+        (node,) = node._parents
+    assert kind(node) == "attention"
+    q, k, v = node._parents
+    assert kind(q) == "reshape" and q._parents[0] is made["rope"][0]
+    assert k is made["pad_keys"][0] and v is made["pad_keys"][1]
+    assert kind(k) == kind(v) == "pad_keys" and k._parents[0] is made["rope"][1]
 
 
 def test_gqa_with_equal_heads_is_plain_mha():

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, mean_all, sum_all
 
+from familykit import kernels
 from familykit.errors import (DegenerateBatchError, GraphError, InputError, ShapeError)
-from familykit.tensor import (Tensor, add, backward, causal_mask, cross_entropy, embedding,
-                              k_masked_softmax, k_matmul, k_softmax, matmul, masked_softmax,
-                              mul, pad_keys, reshape, rmsnorm, rope, rope_tables, silu,
-                              transpose)
+from familykit.tensor import (Tensor, add, attention, backward, causal_mask, cross_entropy,
+                              embedding, k_masked_softmax, k_matmul, k_softmax, matmul,
+                              masked_softmax, mul, pad_keys, reshape, rmsnorm, rope,
+                              rope_tables, silu, transpose)
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -326,6 +327,76 @@ def test_grad_masked_softmax():
     fd_check(lambda: sum_all(mul(masked_softmax(x, allowed[None, None]), w)), [x])
 
 
+@pytest.mark.parametrize("which", ["q", "k", "v"])
+@pytest.mark.parametrize("rep", [1, 2])
+def test_grad_attention(rep, which):
+    # 3 query positions attend over 5 keys (ctx_len), so k and v are padded
+    b, hkv, t, n_keys, dh = 2, 2, 3, 5, 4
+    q = Tensor(rand((b, hkv, rep * t, dh), 40, np.float64), dtype=np.float64)
+    k = Tensor(rand((b, hkv, t, dh), 41, np.float64), dtype=np.float64)
+    v = Tensor(rand((b, hkv, t, dh), 42, np.float64), dtype=np.float64)
+    w = Tensor(rand((b, hkv, rep * t, dh), 43, np.float64), dtype=np.float64)
+    x = {"q": q, "k": k, "v": v}[which]
+    x.requires_grad = True
+    fd_check(lambda: sum_all(mul(attention(q, pad_keys(k, n_keys), pad_keys(v, n_keys),
+                                           causal_mask(t, n_keys), 0.5), w)), [x])
+
+
+def _desk_attention_inputs(dtype, t=64, b=8, seed=44):
+    """Desk-shaped q (b, 2, 2 * t, 8), ctx_len = 64 keys and values, mask."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal(shape).astype(dtype)
+               for shape in ((b, 2, 2 * t, 8), (b, 2, 64, 8), (b, 2, 64, 8)))
+    return q, k, v, causal_mask(t, 64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_row_stable(dtype):
+    # one query position alone, inside a 5-position slice and inside the
+    # whole call gives the same bits: what cached decoding relies on
+    t = 40
+    q, k, v, allowed = _desk_attention_inputs(dtype, t=t, b=2)
+    b, hkv, _, dh = q.shape
+    q5 = q.reshape(b, hkv, 2, t, dh)
+    full = kernels.attention(q, k, v, allowed, 0.35).reshape(b, hkv, 2, t, dh)
+    for i, s in _slices(t):
+        for lo, n in ((i, 1), (s, 5)):
+            rows = np.ascontiguousarray(q5[:, :, :, lo:lo + n]).reshape(b, hkv, 2 * n, dh)
+            part = kernels.attention(rows, k, v, allowed[lo:lo + n], 0.35)
+            got = part.reshape(b, hkv, 2, n, dh)[:, :, :, i - lo]
+            assert np.array_equal(got, full[:, :, :, i]), (i, n)
+
+
+def test_attention_op_value_is_the_kernel():
+    q, k, v, allowed = _desk_attention_inputs(np.float32)
+    saved = [x.copy() for x in (q, k, v)]
+    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = attention(*ts, allowed, 0.35)
+    assert np.array_equal(out.data, kernels.attention(q, k, v, allowed, 0.35))
+    for x, before in zip((q, k, v), saved):  # the in-place score buffer is the op's own
+        assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("t", [64, 21])
+def test_attention_matches_composed_ops_bitwise(t):
+    # the one node gives the values and gradients of the five-op graph it
+    # replaces (transpose, matmul, scale, masked_softmax, matmul) bit for bit
+    q, k, v, allowed = _desk_attention_inputs(np.float32, t=t)
+    g = rand(q.shape, 45)
+    results = []
+    for one_node in (True, False):
+        ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        if one_node:
+            out = attention(*ts, allowed, 0.35)
+        else:
+            scores = matmul(ts[0], transpose(ts[1], (0, 1, 3, 2))) * 0.35
+            out = matmul(masked_softmax(scores, np.concatenate([allowed] * 2)), ts[2])
+        backward(sum_all(mul(out, Tensor(g))))
+        results.append([out.data] + [x.grad for x in ts])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def test_grad_rope_and_pad_keys():
     x = Tensor(rand((1, 2, 3, 4), 10, np.float64), requires_grad=True, dtype=np.float64)
     cos, sin = rope_tables(np.arange(3), 4, 10000.0, dtype=np.float64)
@@ -365,21 +436,22 @@ def test_masked_softmax_ignores_masked_scores_and_row_count():
     # the property cached decoding relies on: at the ctx_len key axis every
     # attention call uses, a row's probabilities are the same bits whatever
     # its scores at masked keys (future keys in a forward, zero-filled cache
-    # in decode) and however many query rows share the call
+    # in decode) and however many query rows share the call; the kernel
+    # overwrites its input, so each call gets a copy
     rng = np.random.default_rng(21)
     ctx, rows = 64, 40
     allowed = causal_mask(rows, ctx)[None, None]
     for dtype in (np.float32, np.float64):
         scores = rng.standard_normal((1, 2, rows, ctx)).astype(dtype)
-        full = k_masked_softmax(scores, allowed)
+        full = k_masked_softmax(scores.copy(), allowed)
         for junk in (np.zeros_like(scores), 50 * rng.standard_normal(scores.shape).astype(dtype)):
             masked = np.where(allowed, scores, junk)
-            assert np.array_equal(k_masked_softmax(masked, allowed), full)
+            assert np.array_equal(k_masked_softmax(masked.copy(), allowed), full)
             for i in (0, 1, 7, 8, 20, rows - 1):
-                alone = k_masked_softmax(masked[:, :, i:i + 1], allowed[:, :, i:i + 1])
+                alone = k_masked_softmax(masked[:, :, i:i + 1].copy(), allowed[:, :, i:i + 1])
                 assert np.array_equal(alone, full[:, :, i:i + 1]), (dtype, i)
                 s = max(0, min(i - 2, rows - 5))
-                five = k_masked_softmax(masked[:, :, s:s + 5], allowed[:, :, s:s + 5])
+                five = k_masked_softmax(masked[:, :, s:s + 5].copy(), allowed[:, :, s:s + 5])
                 assert np.array_equal(five[:, :, i - s], full[:, :, i]), (dtype, i)
 
 
