@@ -151,7 +151,8 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
     The model is built in the config's shape and each slot is filled from
     the manifest entry of the same name, so every entry is checked against
     the shape the config implies; a linear slot may instead hold a factor
-    pair `{name}.B` (in, r) and `{name}.A` (r, out).
+    pair `{name}.B` (in, r) and `{name}.A` (r, out). A parameter has one
+    `<param>::m` and `<param>::v` moment pair in its shape, or none.
     """
     path = Path(path)
     manifest = _read_manifest(path)
@@ -161,13 +162,17 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
         raise IntegrityError(f"checkpoint manifest: {exc}") from exc
     blob = _read_blob(path / WEIGHTS)
     entries = {_field(e, "name", str): e for e in manifest["params"]}
+    if len(entries) != len(manifest["params"]):
+        raise IntegrityError("checkpoint manifest names a parameter more than once")
 
     def param(name: str, shape: tuple[int, ...] | None = None) -> Tensor:
         if name not in entries:
             raise IntegrityError(f"checkpoint is missing parameter {name!r}")
         entry = entries[name]
-        return Tensor(_read_array(blob, entry, shape),
-                      requires_grad=bool(entry.get("trainable", True)))
+        trainable = entry.get("trainable", True)
+        if not isinstance(trainable, bool):
+            raise IntegrityError(f"{name}: 'trainable' must be true or false, got {trainable!r}")
+        return Tensor(_read_array(blob, entry, shape), requires_grad=trainable)
 
     model = blank_model(config)
     for name, owner, attr in weight_slots(model):
@@ -182,7 +187,8 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
         else:
             w = param(name, shape)
         setattr(owner, attr, w)
-    missing = set(entries) - {name for name, _ in named_parameters(model)}
+    shapes = {name: p.shape for name, p in named_parameters(model)}
+    missing = set(entries) - set(shapes)
     if missing:
         raise IntegrityError(f"checkpoint has parameters the config cannot place: {sorted(missing)}")
 
@@ -191,8 +197,14 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
         section = manifest["optimizer"]
         optimizer = OptimizerSnapshot(step=_field(section, "step", int))
         oblob = _read_blob(path / OPTIM)
-        for entry in _field(section, "entries", list):
-            pname, _, kind = _field(entry, "name", str).rpartition("::")
-            moments = optimizer.moments_m if kind == "m" else optimizer.moments_v
-            moments[pname] = _read_array(oblob, entry)
+        table = _field(section, "entries", list)
+        moments = {_field(e, "name", str): e for e in table}
+        owners = dict.fromkeys(name.rpartition("::")[0] for name in moments)  # in table order
+        if len(moments) != len(table) or not set(owners) <= set(shapes) or \
+                set(moments) != {f"{name}::{kind}" for name in owners for kind in "mv"}:
+            raise IntegrityError("optimizer entries must be one <param>::m and <param>::v "
+                                 "pair per parameter of the model")
+        for name in owners:
+            optimizer.moments_m[name] = _read_array(oblob, moments[f"{name}::m"], shapes[name])
+            optimizer.moments_v[name] = _read_array(oblob, moments[f"{name}::v"], shapes[name])
     return model, int(manifest["seed"]), optimizer

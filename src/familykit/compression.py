@@ -27,8 +27,8 @@ from . import kernels
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
 from .linalg import cholesky_array, svd_array
-from .model import (Factored, FamilialModel, copy_model, forward_exits, get_weight_slot,
-                    param_count, set_weight_slot)
+from .model import (LINEAR_SLOTS, Factored, FamilialModel, copy_model, forward_exits,
+                    get_weight_slot, param_count, set_weight_slot, weight_slots)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -65,23 +65,27 @@ class CalibrationSet:
 def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
                         scope) -> CalibrationSet:
     """Accumulate input Grams for every matrix selected by `scope` over
-    calibration forward passes (all branches, fixed order, no graph)."""
+    calibration forward passes (fixed order, no graph) of the branches that
+    reach them: k for `exits.k.*`, the final branch for the backbone."""
     calib_tokens = np.asarray(calib_tokens, dtype=np.int64)
     if calib_tokens.ndim == 1:
         calib_tokens = calib_tokens[None, :]
     if calib_tokens.size == 0:
         raise ConfigError("calibration set is empty")
+    final = model.config.n_branches - 1
+    branches = sorted({int(name.split(".")[1]) if name.startswith("exits.") else final
+                       for name, _, attr in weight_slots(model)
+                       if attr in LINEAR_SLOTS and scope(name)})
+    if not branches:
+        raise ConfigError("scope selected no matrices during calibration")
     calib = CalibrationSet()
 
     def tap(name: str, x: np.ndarray) -> None:
         if scope(name):
             calib.add(name, x)
 
-    branches = list(range(model.config.n_branches))
     for start in range(0, calib_tokens.shape[0], 8):
         forward_exits(model, calib_tokens[start:start + 8], branches, tap=tap, ops=kernels)
-    if not calib.grams:
-        raise ConfigError("scope selected no matrices during calibration")
     return calib
 
 

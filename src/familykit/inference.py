@@ -120,16 +120,17 @@ EMBEDDING = ("embedding",)  # GenState buffer key of the embedded rows
 class GenState:
     """Decode-time state over a frozen model; one generation stream.
 
-    Every block that has run keeps, under its KV cache key, the residual
-    rows it produced and its frontier. Backbone layer 0 reads the embedded
-    rows (key `EMBEDDING`), each later layer the one before it, and branch
-    k's first block backbone layer `exit_depths[k] - 1`. `generate`
-    advances blocks lazily, or under "always" backfills every pushed
-    position through every block after each verified window, and rolls
-    back the positions after a rejected draft. `exec_count` counts the runs
-    of each (block, position) pair and `discarded_rows` the rows that
-    rollbacks threw away, so that every row ever run is either under a
-    frontier or discarded.
+    Every block that has run keeps its frontier and, written and zeroed on
+    the position axis, the rows it produced (ctx_len, hidden) and its keys
+    and values, token-major (1, ctx_len, kv_heads, head_dim). Backbone
+    layer 0 reads the embedded rows (key `EMBEDDING`), each later layer the
+    one before it, and branch k's first block backbone layer
+    `exit_depths[k] - 1`. `generate` advances blocks lazily, or under
+    "always" backfills every pushed position through every block after each
+    verified window, and rolls back the positions after a rejected draft.
+    `exec_count` counts the runs of each (block, position) pair and
+    `discarded_rows` the rows that rollbacks threw away, so that every row
+    ever run is either under a frontier or discarded.
     """
 
     def __init__(self, model: FamilialModel):
@@ -140,7 +141,7 @@ class GenState:
         self.rows: dict[tuple, np.ndarray] = defaultdict(
             lambda: np.zeros((cfg.ctx_len, cfg.hidden), np.float32))
         self.frontier: dict[tuple, int] = {}  # block key -> positions run
-        kv_shape = (1, cfg.kv_heads, cfg.ctx_len, cfg.head_dim)
+        kv_shape = (1, cfg.ctx_len, cfg.kv_heads, cfg.head_dim)
         self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = defaultdict(  # key -> (K, V)
             lambda: (np.zeros(kv_shape, np.float32), np.zeros(kv_shape, np.float32)))
         self.cos, self.sin = rope_tables(np.arange(cfg.ctx_len), cfg.head_dim, cfg.rope_base)
@@ -167,7 +168,7 @@ class GenState:
                 self.discarded_rows += stop - n
                 self.rows[key][n:stop] = 0
                 for buf in self.cache[key]:
-                    buf[:, :, n:stop] = 0
+                    buf[:, n:stop] = 0
                 self.frontier[key] = n
         self.rows[EMBEDDING][n:self.n_positions] = 0
         self.n_positions = n
@@ -183,8 +184,8 @@ class GenState:
         keys, values = self.cache[key]
 
         def kv(k: np.ndarray, v: np.ndarray):
-            keys[:, :, start:stop] = k
-            values[:, :, start:stop] = v
+            keys[:, start:stop] = k
+            values[:, start:stop] = v
             return keys, values
 
         out = block_forward(block, rows[None], self.cfg, self.cos[start:stop],

@@ -2,8 +2,8 @@
 
 The compute ops are the very `k_*` kernels that the autodiff ops wrap,
 `attention` (`k_attention`, in place on its own score buffer) among them;
-`param`, `reshape` and `transpose` give the values and memory layout of
-their autodiff namesakes without recording a graph. Training runs
+`param` and `reshape` give the values and memory layout of their autodiff
+namesakes without recording a graph. Training runs
 `model.forward_exits` over `tensor`; evaluation, calibration, the identity
 check, analysis and cached decoding run it (or `model.block_forward`) over
 this module, so every path agrees bit for bit and only training builds a
@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (Tensor, k_attention as attention, k_embedding as embedding,
-                     k_matmul as matmul, k_pad_keys as pad_keys, k_rmsnorm as rmsnorm,
-                     k_rope as rope, k_silu as silu)
+                     k_matmul as matmul, k_rmsnorm as rmsnorm, k_rope as rope,
+                     k_silu as silu)
 
 Array = np.ndarray
 
@@ -29,6 +29,3 @@ def param(p: Tensor) -> Array:
 def reshape(a: Array, shape) -> Array:
     return a.reshape(shape)
 
-
-def transpose(a: Array, axes) -> Array:
-    return np.ascontiguousarray(a.transpose(axes))

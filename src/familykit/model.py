@@ -380,39 +380,27 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     """One pre-norm decoder block: causal GQA attention then gated MLP.
 
     `h` holds residual rows (B, T, hidden) in the value type of `ops`:
-    Tensors under `tensor`, arrays under `kernels`. Every call attends over
-    a key axis of `ctx_len`, so each attention product has one shape and
-    stays row-stable: `allowed` is the (T, ctx_len) query-key mask, and
-    keys and values are zero-padded to `ctx_len` unless `kv(k, v)` is
-    given, which receives the rotated keys and values of these rows and
-    returns all `ctx_len` of them (cached decoding writes its cache and
-    returns it whole). Attention is one op, `ops.attention`: the query
-    heads of one KV head are adjacent and attend as one group of rep * T
-    rows, whose scores it views as (rep, T, ctx_len) so that `allowed`
-    broadcasts; keys, values and the mask are never repeated.
+    Tensors under `tensor`, arrays under `kernels`. Queries, keys and values
+    stay token-major, (B, T, heads, head_dim), for the one attention op,
+    which pads keys and values to the `ctx_len` columns of the (T, ctx_len)
+    mask `allowed`: every call attends over one key extent, so it stays
+    row-stable. `kv(k, v)`, when given, receives the rotated keys and values
+    of these rows and returns the ones to attend over (cached decoding
+    writes its cache and returns it whole).
     """
     b, t, _ = h.shape
-    dh, hq, hkv, n_keys = cfg.head_dim, cfg.q_heads, cfg.kv_heads, cfg.ctx_len
-    if allowed.shape != (t, n_keys):
-        raise ShapeError(f"attention mask {allowed.shape} is not ({t}, {n_keys})")
-    rep = hq // hkv
-
-    def heads(x, n):
-        return ops.transpose(ops.reshape(x, (b, t, n, dh)), (0, 2, 1, 3))
+    dh = cfg.head_dim
+    if allowed.shape != (t, cfg.ctx_len):
+        raise ShapeError(f"attention mask {allowed.shape} is not ({t}, {cfg.ctx_len})")
+    cos, sin = cos[:, None], sin[:, None]  # broadcast over the heads
 
     a = ops.rmsnorm(h, ops.param(block.attn_norm), cfg.rms_eps)
-    q = heads(apply_linear(a, block.w_q, f"{name}.w_q", tap, ops), hq)
-    k = heads(apply_linear(a, block.w_k, f"{name}.w_k", tap, ops), hkv)
-    v = heads(apply_linear(a, block.w_v, f"{name}.w_v", tap, ops), hkv)
-    q = ops.reshape(ops.rope(q, cos, sin), (b, hkv, rep * t, dh))
-    k = ops.rope(k, cos, sin)
+    q, k, v = (ops.reshape(apply_linear(a, getattr(block, m), f"{name}.{m}", tap, ops),
+                           (b, t, -1, dh)) for m in ("w_q", "w_k", "w_v"))
+    q, k = ops.rope(q, cos, sin), ops.rope(k, cos, sin)
     if kv is not None:
         k, v = kv(k, v)
-    else:
-        k, v = ops.pad_keys(k, n_keys), ops.pad_keys(v, n_keys)
-
-    ctx = ops.reshape(ops.attention(q, k, v, allowed, 1.0 / math.sqrt(dh)), (b, hq, t, dh))
-    ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, t, cfg.hidden))
+    ctx = ops.reshape(ops.attention(q, k, v, allowed, 1.0 / math.sqrt(dh)), (b, t, cfg.hidden))
     h = h + apply_linear(ctx, block.w_o, f"{name}.w_o", tap, ops)
 
     m = ops.rmsnorm(h, ops.param(block.mlp_norm), cfg.rms_eps)

@@ -23,13 +23,13 @@ bit-equal to full-prefix forward passes. Gradients are never compared
 against a cached forward, so `matmul`'s backward calls `np.matmul` on the
 operands as they are.
 
-Attention is one op, `attention` over `k_attention`. Its scores are one
-buffer, scaled, masked, exponentiated and normalized in place: fresh
-full-size temporaries, not the arithmetic, were most of its cost. A kernel
-that overwrites an argument says so, and its callers pass a buffer they
-own. The hand-written backward keeps the operand layouts of separate
-`matmul`, `scale` and `masked_softmax` nodes, so values and gradients are
-theirs bit for bit.
+Attention is one op, `attention` over `k_attention`, on token-major q, k
+and v; only it knows the head-major layout. Its scores are one buffer,
+scaled, masked, exponentiated and normalized in place: fresh full-size
+temporaries, not the arithmetic, were most of its cost. A kernel that
+overwrites an argument says so, and its callers pass a buffer they own.
+Its backward keeps the operand layouts of separate `matmul`, `scale` and
+`masked_softmax` nodes, so values and gradients are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -122,30 +122,45 @@ def k_masked_softmax(scores: Array, allowed: Array) -> Array:
     return scores
 
 
+def _head_major(x: Array, hkv: int) -> Array:
+    """(B, T, Hkv * rep, Dh) -> (B, Hkv, rep * T, Dh), C-contiguous."""
+    b, t, hq, dh = x.shape
+    return np.ascontiguousarray(
+        x.reshape(b, t, hkv, hq // hkv, dh).transpose(0, 2, 3, 1, 4)).reshape(b, hkv, -1, dh)
+
+
+def _token_major(x: Array, t: int) -> Array:
+    """(B, Hkv, rep * T, Dh) -> (B, T, Hkv * rep, Dh), C-contiguous."""
+    b, hkv, rows, dh = x.shape
+    return np.ascontiguousarray(
+        x.reshape(b, hkv, rows // t, t, dh).transpose(0, 3, 1, 2, 4)).reshape(b, t, -1, dh)
+
+
 def _attention(q: Array, k: Array, v: Array, allowed: Array,
-               scale: float) -> tuple[Array, Array, Array]:
-    """`k_attention`, and the probabilities and transposed keys that its
-    gradient reuses."""
-    b, hkv, rows, _ = q.shape
-    t, n_keys = allowed.shape
-    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-    s = k_matmul(q, kt)
+               scale: float) -> tuple[Array, ...]:
+    """`k_attention`, and the head-major probabilities, queries, transposed
+    keys and values that its gradient reuses."""
+    b, t, hq, _ = q.shape
+    hkv, n_keys = k.shape[2], allowed.shape[1]
+    qh = _head_major(q, hkv)
+    kt = np.ascontiguousarray(np.swapaxes(k_pad_keys(k.transpose(0, 2, 1, 3), n_keys), -1, -2))
+    vh = np.ascontiguousarray(k_pad_keys(v.transpose(0, 2, 1, 3), n_keys))
+    s = k_matmul(qh, kt)
     # scaled in place, or into a fresh buffer where k_matmul returned a
     # strided view of its padded tiles: the softmax then runs on contiguous
     # rows, as in a full forward, whatever loop numpy picks for strided exp
     s = np.multiply(s, np.asarray(scale, s.dtype), out=s if s.flags.c_contiguous else None)
-    p = k_masked_softmax(s.reshape(b, hkv, rows // t, t, n_keys), allowed).reshape(s.shape)
-    return k_matmul(p, v), p, kt
+    p = k_masked_softmax(s.reshape(b, hkv, hq // hkv, t, n_keys), allowed).reshape(s.shape)
+    return _token_major(k_matmul(p, vh), t), p, qh, kt, vh
 
 
 def k_attention(q: Array, k: Array, v: Array, allowed: Array, scale: float) -> Array:
-    """softmax(scale * q k^T, masked to `allowed`) v for each (batch, KV head).
-
-    q is (B, Hkv, rep * T, Dh): the rep query heads of one KV head stacked
-    head-major, so keys and values (B, Hkv, L, Dh) are never repeated.
-    `allowed` is the (T, L) query-key mask, broadcast over the heads as the
-    scores are viewed (B, Hkv, rep, T, L).
-    """
+    """softmax(scale * q k^T, masked to `allowed`) v, token-major: q and the
+    context are (B, T, Hq, Dh), k and v (B, L', Hkv, Dh) for the first L' of
+    the L columns of the (T, L) mask. Inside, the rep = Hq / Hkv query heads
+    of a KV head are stacked into rep * T rows, keys and values zero-padded
+    to L, and the scores viewed (B, Hkv, rep, T, L) so that the mask
+    broadcasts: nothing is repeated per query head."""
     return _attention(q, k, v, allowed, scale)[0]
 
 
@@ -160,7 +175,8 @@ def k_silu(x: Array) -> Array:
 
 
 def k_rope(x: Array, cos: Array, sin: Array) -> Array:
-    """Rotate head channels pairwise: x is (..., T, Dh), cos/sin (T, Dh/2)."""
+    """Rotate head channels pairwise: x is (..., Dh) and cos/sin broadcast
+    against its (..., Dh/2) halves, e.g. (T, 1, Dh/2) for (B, T, H, Dh)."""
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
@@ -248,6 +264,7 @@ def _as_tensor(x, dtype) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    """Add `g` to `t.grad`; a first gradient that is a view is copied, C-contiguous."""
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
     if t.grad is None:
@@ -362,16 +379,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, np.ascontiguousarray(g.transpose(inv)))
-
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
-
-
 def silu(a: Tensor) -> Tensor:
     out_data, sig = _silu(a.data)
 
@@ -420,23 +427,25 @@ def masked_softmax(scores: Tensor, allowed: Array) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, allowed: Array, scale: float) -> Tensor:
     """`k_attention` as one node with parents (q, k, v). It keeps the
-    probabilities P, and its backward is that of FlashAttention (Dao et al.,
-    arXiv 2205.14135, App. B) without the tiling: dV = P^T g, dP = g V^T,
-    dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K, dK = (Q^T dS)^T."""
-    out_data, p, kt = _attention(q.data, k.data, v.data, allowed, scale)
+    head-major probabilities P, and its backward is that of FlashAttention
+    (Dao et al., arXiv 2205.14135, App. B) without the tiling: dV = P^T g,
+    dP = g V^T, dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K and
+    dK = (Q^T dS)^T, handed back token-major and cut to the L' keys given."""
+    out_data, p, qh, kt, vh = _attention(q.data, k.data, v.data, allowed, scale)
+    t, n = q.data.shape[1], k.data.shape[1]
 
     def bwd(g: Array) -> None:
+        g = _head_major(g, vh.shape[1])
         if v.requires_grad:
-            _accumulate(v, np.swapaxes(p, -1, -2) @ g)
+            _accumulate(v, (np.swapaxes(p, -1, -2) @ g)[:, :, :n].transpose(0, 2, 1, 3))
         if not (q.requires_grad or k.requires_grad):
             return
-        ds = _softmax_backward(p, g @ np.swapaxes(v.data, -1, -2))
+        ds = _softmax_backward(p, g @ np.swapaxes(vh, -1, -2))
         ds *= np.asarray(scale, ds.dtype)
         if q.requires_grad:
-            _accumulate(q, ds @ np.swapaxes(kt, -1, -2))
+            _accumulate(q, _token_major(ds @ np.swapaxes(kt, -1, -2), t))
         if k.requires_grad:
-            dkt = np.swapaxes(q.data, -1, -2) @ ds
-            _accumulate(k, np.ascontiguousarray(np.swapaxes(dkt, -1, -2)))
+            _accumulate(k, (np.swapaxes(qh, -1, -2) @ ds)[..., :n].transpose(0, 3, 1, 2))
 
     return _make(out_data, (q, k, v), bwd)
 
@@ -455,18 +464,6 @@ def rope(x: Tensor, cos: Array, sin: Array) -> Tensor:
         _accumulate(x, np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1))
 
     return _make(out_data, (x,), bwd)
-
-
-def pad_keys(x: Tensor, length: int) -> Tensor:
-    """Zero rows appended along axis -2 up to `length`; a no-op at `length`."""
-    t = x.data.shape[-2]
-    if t == length:
-        return x
-
-    def bwd(g: Array) -> None:
-        _accumulate(x, g[..., :t, :])
-
-    return _make(k_pad_keys(x.data, length), (x,), bwd)
 
 
 def embedding(table: Tensor, ids: Array) -> Tensor:

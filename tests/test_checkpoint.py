@@ -239,6 +239,64 @@ def test_damaged_weights_rejected(tmp_path, damage):
                      "--out", str(tmp_path / "out")]) == 5
 
 
+def _with_moments(path, seed=12):
+    """A desk checkpoint with AdamW moments for every parameter; returns
+    its manifest."""
+    model = init_model(desk_config(), seed=seed)
+    rng = np.random.default_rng(seed)
+    moments = [{n: rng.standard_normal(p.shape).astype(np.float32)
+                for n, p in named_parameters(model)} for _ in range(2)]
+    save_checkpoint(path, model, seed=seed, optimizer=OptimizerSnapshot(3, *moments))
+    return json.loads((path / "manifest.json").read_text())
+
+
+def _first(entries, name):
+    return next(e for e in entries if e["name"] == name)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _first(doc["optimizer"]["entries"], "embedding::m")["shape"].reverse(),
+    lambda doc: _first(doc["optimizer"]["entries"], "embedding::m").update(name="embedding"),
+    lambda doc: _first(doc["optimizer"]["entries"], "embedding::m").update(name="nothing::m"),
+    lambda doc: _first(doc["optimizer"]["entries"], "embedding::m").update(name="embedding::w"),
+    lambda doc: doc["optimizer"]["entries"].append(
+        dict(_first(doc["optimizer"]["entries"], "embedding::m"))),
+    lambda doc: doc["optimizer"]["entries"].remove(
+        _first(doc["optimizer"]["entries"], "embedding::v")),
+    lambda doc: doc["params"].append(dict(_first(doc["params"], "embedding"))),
+    lambda doc: _first(doc["params"], "embedding").update(trainable="yes"),
+], ids=["moment-shape-transposed", "moment-without-kind", "moment-of-no-parameter",
+        "moment-of-unknown-kind", "moment-twice", "moment-unpaired", "parameter-twice",
+        "trainable-not-bool"])
+def test_malformed_tables_exit_5(tmp_path, edit):
+    # before, these loaded: a transposed moment failed later inside AdamW,
+    # a renamed one landed under '' and training restarted it from zeros,
+    # and a repeated parameter silently took the last copy
+    doc = _with_moments(tmp_path / "c")
+    load_checkpoint(tmp_path / "c")
+    edit(doc)
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(IntegrityError):
+        load_checkpoint(tmp_path / "c")
+    assert cli_main(["eval", "--checkpoint", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "out")]) == 5
+
+
+def test_parameters_without_moments_load(tmp_path):
+    # a checkpoint may hold moments for some parameters only, or none
+    doc = _with_moments(tmp_path / "c")
+    entries = doc["optimizer"]["entries"]
+    entries[:] = [e for e in entries if not e["name"].startswith("embedding::")]
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+    _, _, optim = load_checkpoint(tmp_path / "c")
+    assert "embedding" not in optim.moments_m and "embedding" not in optim.moments_v
+    assert len(optim.moments_m) == len(optim.moments_v) == len(entries) // 2
+    doc["optimizer"]["entries"] = []
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+    _, _, optim = load_checkpoint(tmp_path / "c")
+    assert optim.step == 3 and optim.moments_m == optim.moments_v == {}
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: "{not json",
     lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),

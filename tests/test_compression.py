@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from familykit import compression, kernels
 from familykit.compression import (CalibrationSet, MatrixGroup, allocate_ratios,
                                    apply_compression, build_plan, capture_activations,
                                    decompose, group_of, rank_for_ratio, ridged,
@@ -13,7 +14,7 @@ from familykit.evaluation import branch_perplexity
 from familykit.expansion import ExpansionSpec, expand
 from familykit.linalg import cholesky_array
 from familykit.model import (BLOCK_MATRICES, Factored, desk_config, forward_branch,
-                             get_weight_slot, init_model, named_parameters,
+                             forward_exits, get_weight_slot, init_model, named_parameters,
                              param_count)
 
 
@@ -68,6 +69,40 @@ def test_capture_scope_and_accumulation(expanded):
         merged = first.grams[name] + second.grams[name]
         scale = max(np.abs(one.grams[name]).max(), 1.0)
         assert np.max(np.abs(merged - one.grams[name])) / scale < 1e-6
+
+
+@pytest.mark.parametrize("scope", [default_scope(), {"exits.1.blocks.0.w_up"},
+                                   {"backbone.1.w_q", "exits.0.lm_proj"}],
+                         ids=["grown-branch-0", "branch-1", "backbone"])
+def test_capture_runs_only_the_branches_in_scope(expanded, monkeypatch, scope):
+    # branch k for a matrix under exits.k., the final branch for a backbone
+    # matrix; the Grams are those of a pass over every branch, bit for bit
+    calib_tokens = np.random.default_rng(33).integers(0, 256, (10, 24))
+    full = CalibrationSet()
+    for window in (calib_tokens[:8], calib_tokens[8:]):
+        forward_exits(expanded, window, [0, 1], ops=kernels,
+                      tap=lambda name, x: full.add(name, x) if name in scope else None)
+    ran = []
+
+    def recorded(model, tokens, branches, **kwargs):
+        ran.append(branches)
+        return forward_exits(model, tokens, branches, **kwargs)
+    monkeypatch.setattr(compression, "forward_exits", recorded)
+    calib = capture_activations(expanded, calib_tokens, scope.__contains__)
+    want = sorted({int(n.split(".")[1]) if n.startswith("exits.") else 1 for n in scope})
+    assert ran == [want, want]  # two windows of at most 8 sequences
+    assert set(calib.grams) == scope
+    for name in scope:
+        assert np.array_equal(calib.grams[name], full.grams[name])
+
+
+def test_capture_rejects_empty_scope_before_forwarding(expanded, monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forwarded with nothing to calibrate")
+    monkeypatch.setattr(compression, "forward_exits", no_forward)
+    for scope in (lambda n: False, lambda n: n == "embedding", lambda n: n.endswith("_norm")):
+        with pytest.raises(ConfigError, match="scope selected no matrices"):
+            capture_activations(expanded, np.zeros((2, 4), np.int64), scope)
 
 
 def test_capture_rejects_empty(expanded):

@@ -230,17 +230,18 @@ def test_block_forward_rejects_mask_of_wrong_width():
 
 def test_block_attention_is_one_node(monkeypatch):
     # under `tensor`, a block's attention context is one node whose parents
-    # are the roped queries and the padded keys and values: no transpose,
-    # scale or masked_softmax node sits between them
+    # are exactly the roped queries, the roped keys and the reshaped value
+    # projection: no transpose, padding, scale or masked_softmax node sits
+    # between the projections and the op, or between the op and w_o
     cfg = desk_config()
     model = init_model(cfg, seed=9)
     t = 10
-    made = {"rope": [], "pad_keys": []}
-    for name in made:
-        def recorded(*args, _original=getattr(tensor, name), _made=made[name]):
-            _made.append(_original(*args))
-            return _made[-1]
-        monkeypatch.setattr(tensor, name, recorded)
+    roped = []
+
+    def recorded(*args, _original=tensor.rope):
+        roped.append(_original(*args))
+        return roped[-1]
+    monkeypatch.setattr(tensor, "rope", recorded)
     linear_inputs = {}
     cos, sin = rope_tables(np.arange(t), cfg.head_dim, cfg.rope_base)
     block_forward(model.backbone[0], tensor.Tensor(model.embedding.data[np.arange(t)][None]),
@@ -250,14 +251,13 @@ def test_block_attention_is_one_node(monkeypatch):
     def kind(node):
         return node._bwd.__qualname__.split(".")[0]
 
-    node = linear_inputs[".w_o"]
-    while kind(node) in ("reshape", "transpose"):
-        (node,) = node._parents
-    assert kind(node) == "attention"
+    (node,) = linear_inputs[".w_o"]._parents
+    assert kind(linear_inputs[".w_o"]) == "reshape" and kind(node) == "attention"
     q, k, v = node._parents
-    assert kind(q) == "reshape" and q._parents[0] is made["rope"][0]
-    assert k is made["pad_keys"][0] and v is made["pad_keys"][1]
-    assert kind(k) == kind(v) == "pad_keys" and k._parents[0] is made["rope"][1]
+    assert len(roped) == 2 and q is roped[0] and k is roped[1]
+    assert kind(v) == "reshape" and v.shape == (1, t, cfg.kv_heads, cfg.head_dim)
+    (v_proj,) = v._parents
+    assert kind(v_proj) == "matmul" and v_proj._parents[0] is linear_inputs[".w_v"]
 
 
 def test_gqa_with_equal_heads_is_plain_mha():

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference_grads, mean_all, sum_all
 
-from familykit import kernels
+from familykit import kernels, tensor
 from familykit.errors import (DegenerateBatchError, GraphError, InputError, ShapeError)
 from familykit.tensor import (Tensor, add, attention, backward, causal_mask, cross_entropy,
-                              embedding, k_masked_softmax, k_matmul, k_softmax, matmul,
-                              masked_softmax, mul, pad_keys, reshape, rmsnorm, rope,
-                              rope_tables, silu, transpose)
+                              embedding, k_masked_softmax, k_matmul, k_pad_keys, k_softmax,
+                              matmul, masked_softmax, mul, reshape, rmsnorm, rope,
+                              rope_tables, silu)
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -330,23 +330,25 @@ def test_grad_masked_softmax():
 @pytest.mark.parametrize("which", ["q", "k", "v"])
 @pytest.mark.parametrize("rep", [1, 2])
 def test_grad_attention(rep, which):
-    # 3 query positions attend over 5 keys (ctx_len), so k and v are padded
-    b, hkv, t, n_keys, dh = 2, 2, 3, 5, 4
-    q = Tensor(rand((b, hkv, rep * t, dh), 40, np.float64), dtype=np.float64)
-    k = Tensor(rand((b, hkv, t, dh), 41, np.float64), dtype=np.float64)
-    v = Tensor(rand((b, hkv, t, dh), 42, np.float64), dtype=np.float64)
-    w = Tensor(rand((b, hkv, rep * t, dh), 43, np.float64), dtype=np.float64)
-    x = {"q": q, "k": k, "v": v}[which]
-    x.requires_grad = True
-    fd_check(lambda: sum_all(mul(attention(q, pad_keys(k, n_keys), pad_keys(v, n_keys),
-                                           causal_mask(t, n_keys), 0.5), w)), [x])
+    # 3 query positions attend over the first 3 (the op pads them) or all 5
+    # of 5 key positions, token-major
+    b, hkv, t, dh = 2, 2, 3, 4
+    for n_given, n_keys in ((3, 5), (5, 5)):
+        q = Tensor(rand((b, t, rep * hkv, dh), 40, np.float64), dtype=np.float64)
+        k = Tensor(rand((b, n_given, hkv, dh), 41, np.float64), dtype=np.float64)
+        v = Tensor(rand((b, n_given, hkv, dh), 42, np.float64), dtype=np.float64)
+        w = Tensor(rand(q.shape, 43, np.float64), dtype=np.float64)
+        x = {"q": q, "k": k, "v": v}[which]
+        x.requires_grad = True
+        fd_check(lambda: sum_all(mul(attention(q, k, v, causal_mask(t, n_keys), 0.5), w)), [x])
 
 
-def _desk_attention_inputs(dtype, t=64, b=8, seed=44):
-    """Desk-shaped q (b, 2, 2 * t, 8), ctx_len = 64 keys and values, mask."""
+def _desk_attention_inputs(dtype, t=64, b=8, n_given=64, seed=44):
+    """Desk-shaped token-major q (b, t, 4, 8), `n_given` of ctx_len = 64
+    keys and values (b, n_given, 2, 8), and the causal mask."""
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal(shape).astype(dtype)
-               for shape in ((b, 2, 2 * t, 8), (b, 2, 64, 8), (b, 2, 64, 8)))
+               for shape in ((b, t, 4, 8), (b, n_given, 2, 8), (b, n_given, 2, 8)))
     return q, k, v, causal_mask(t, 64)
 
 
@@ -356,53 +358,80 @@ def test_attention_row_stable(dtype):
     # whole call gives the same bits: what cached decoding relies on
     t = 40
     q, k, v, allowed = _desk_attention_inputs(dtype, t=t, b=2)
-    b, hkv, _, dh = q.shape
-    q5 = q.reshape(b, hkv, 2, t, dh)
-    full = kernels.attention(q, k, v, allowed, 0.35).reshape(b, hkv, 2, t, dh)
+    full = kernels.attention(q, k, v, allowed, 0.35)
     for i, s in _slices(t):
         for lo, n in ((i, 1), (s, 5)):
-            rows = np.ascontiguousarray(q5[:, :, :, lo:lo + n]).reshape(b, hkv, 2 * n, dh)
-            part = kernels.attention(rows, k, v, allowed[lo:lo + n], 0.35)
-            got = part.reshape(b, hkv, 2, n, dh)[:, :, :, i - lo]
-            assert np.array_equal(got, full[:, :, :, i]), (i, n)
+            part = kernels.attention(q[:, lo:lo + n], k, v, allowed[lo:lo + n], 0.35)
+            assert np.array_equal(part[:, i - lo], full[:, i]), (i, n)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_pads_keys_it_is_not_given(dtype):
+    # the first 21 keys and values attend as all 64 with zeros after them
+    q, k, v, allowed = _desk_attention_inputs(dtype, t=21, b=2)
+    zeroed = [np.concatenate([x[:, :21], np.zeros_like(x[:, 21:])], axis=1) for x in (k, v)]
+    assert np.array_equal(kernels.attention(q, k[:, :21], v[:, :21], allowed, 0.35),
+                          kernels.attention(q, *zeroed, allowed, 0.35))
+    with pytest.raises(ShapeError):  # more keys than the mask has columns
+        kernels.attention(q, k, v, allowed[:, :63], 0.35)
 
 
 def test_attention_op_value_is_the_kernel():
-    q, k, v, allowed = _desk_attention_inputs(np.float32)
+    q, k, v, allowed = _desk_attention_inputs(np.float32, t=21, n_given=21)
     saved = [x.copy() for x in (q, k, v)]
     ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
     out = attention(*ts, allowed, 0.35)
+    assert out.shape == q.shape
     assert np.array_equal(out.data, kernels.attention(q, k, v, allowed, 0.35))
     for x, before in zip((q, k, v), saved):  # the in-place score buffer is the op's own
         assert np.array_equal(x, before)
 
 
+def transpose(a: Tensor, axes) -> Tensor:
+    """Autodiff transpose (contiguous, both ways), for reference graphs."""
+    inv = tuple(np.argsort(axes))
+    return tensor._make(np.ascontiguousarray(a.data.transpose(axes)), (a,), lambda g:
+                        tensor._accumulate(a, np.ascontiguousarray(g.transpose(inv))))
+
+
+def pad_rows(a: Tensor, length: int) -> Tensor:
+    """Autodiff zero rows appended along axis -2 up to `length`."""
+    t = a.data.shape[-2]
+    return tensor._make(k_pad_keys(a.data, length), (a,),
+                        lambda g: tensor._accumulate(a, g[..., :t, :]))
+
+
 @pytest.mark.parametrize("t", [64, 21])
 def test_attention_matches_composed_ops_bitwise(t):
-    # the one node gives the values and gradients of the five-op graph it
-    # replaces (transpose, matmul, scale, masked_softmax, matmul) bit for bit
-    q, k, v, allowed = _desk_attention_inputs(np.float32, t=t)
+    # the one node gives the values and gradients of the graph it replaces
+    # (head-major transposes, key padding, matmul, scale, masked_softmax,
+    # matmul, transpose back) bit for bit; t keys are given, padded to 64
+    q, k, v, allowed = _desk_attention_inputs(np.float32, t=t, n_given=t)
     g = rand(q.shape, 45)
+    b, _, hq, dh = q.shape
     results = []
     for one_node in (True, False):
         ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
         if one_node:
             out = attention(*ts, allowed, 0.35)
         else:
-            scores = matmul(ts[0], transpose(ts[1], (0, 1, 3, 2))) * 0.35
-            out = matmul(masked_softmax(scores, np.concatenate([allowed] * 2)), ts[2])
+            qh = reshape(transpose(ts[0], (0, 2, 1, 3)), (b, 2, 2 * t, dh))
+            kh, vh = (pad_rows(transpose(x, (0, 2, 1, 3)), 64) for x in ts[1:])
+            scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * 0.35
+            ctx = matmul(masked_softmax(scores, np.concatenate([allowed] * 2)), vh)
+            out = transpose(reshape(ctx, (b, hq, t, dh)), (0, 2, 1, 3))
         backward(sum_all(mul(out, Tensor(g))))
         results.append([out.data] + [x.grad for x in ts])
     for got, want in zip(*results):
         assert np.array_equal(got, want)
 
 
-def test_grad_rope_and_pad_keys():
-    x = Tensor(rand((1, 2, 3, 4), 10, np.float64), requires_grad=True, dtype=np.float64)
+def test_grad_rope():
+    # token-major (B, T, H, Dh) with tables broadcast over the heads
+    x = Tensor(rand((1, 3, 2, 4), 10, np.float64), requires_grad=True, dtype=np.float64)
     cos, sin = rope_tables(np.arange(3), 4, 10000.0, dtype=np.float64)
-    w = Tensor(rand((1, 2, 5, 4), 11, np.float64), dtype=np.float64)
-    fd_check(lambda: sum_all(mul(pad_keys(rope(x, cos, sin), 5), w)), [x])
-    assert pad_keys(x, 3) is x
+    w = Tensor(rand((1, 3, 2, 4), 11, np.float64), dtype=np.float64)
+    fd_check(lambda: sum_all(mul(rope(x, cos[:, None], sin[:, None]), w)), [x])
 
 
 def test_grad_embedding_and_cross_entropy():
@@ -414,10 +443,10 @@ def test_grad_embedding_and_cross_entropy():
                                    ignore_index=-1), [table, proj])
 
 
-def test_grad_transpose_reshape():
+def test_grad_reshape():
     x = Tensor(rand((2, 3, 4), 14, np.float64), requires_grad=True, dtype=np.float64)
     w = Tensor(rand((4, 6), 15, np.float64), dtype=np.float64)
-    fd_check(lambda: mean_all(mul(reshape(transpose(x, (0, 2, 1)), (4, 6)), w)), [x])
+    fd_check(lambda: mean_all(mul(reshape(x, (4, 6)), w)), [x])
 
 
 # ---------------------------------------------------------------------------
