@@ -9,17 +9,18 @@ exits. Pure numpy, deterministic end to end.
 from .checkpoint import (OptimizerSnapshot, config_fingerprint, load_checkpoint,
                          save_checkpoint)
 from .compression import (CalibrationSet, CompressionPlan, CompressionReport,
-                          Decomposition, MatrixGroup, WhitenFactors, allocate_ratios,
+                          Decomposition, WhitenFactors, allocate_ratios,
                           apply_compression, build_plan, capture_activations,
-                          decompose, measure_compression, truncation_loss, whiten)
+                          decompose, inverted_log_score, measure_compression,
+                          truncation_loss, whiten)
 from .config import CompressionConfig, Paths, RunConfig, build_run_config, load_run_config
 from .data import BOS, EOS, PAD, ByteTokenizer, WindowSampler, load_corpus
 from .errors import (ConfigError, DataError, DefinitenessError, DegenerateBatchError,
                      DivergenceError, FamilyKitError, GraphError, InputError,
                      IntegrityError, NumericError, ShapeError)
 from .evaluation import branch_nll, branch_perplexity
-from .expansion import (AblationResult, ExpansionReport, ExpansionSpec, ablation_run,
-                        expand, grown_scope, layer_cosine_similarity, verify_identity)
+from .expansion import (ExpansionReport, ExpansionSpec, expand, grown_scope,
+                        layer_cosine_similarity, verify_identity)
 from .inference import ExitPolicy, GenerationTrace, TokenRecord, confidence, generate
 from .model import (ExitHead, Factored, FamilialModel, FamilyConfig, desk_config,
                     extract_submodel, forward_all_branches, forward_branch, init_model,

@@ -29,7 +29,7 @@ from .data import BOS, ByteTokenizer, WindowSampler, load_corpus
 from .errors import (ConfigError, DataError, FamilyKitError, IntegrityError,
                      NumericError)
 from .evaluation import branch_perplexity
-from .expansion import (ablation_run, cosine_csv_rows, expand, grown_scope,
+from .expansion import (INIT_MODES, cosine_csv_rows, expand, grown_scope,
                         layer_cosine_similarity, verify_identity)
 from .inference import ExitPolicy, generate
 from .model import extract_submodel, init_model, param_count
@@ -130,26 +130,28 @@ def cmd_expand(args) -> int:
     probe_rng = SplitRng(cfg.seed).split("identity-probe")
     probe = probe_rng.integers(0, cfg.model.vocab, (4, min(16, cfg.model.ctx_len)))
     deviation = verify_identity(model, expanded, probe, spec.target_branch)
-    report.identity_deviation = deviation
     print(f"identity deviation at t=0: {deviation}")
 
     schedule = LambdaSchedule.branch_only(expanded.config.n_branches,
                                           spec.target_branch, cfg.train.total_steps)
+    states = {}
+    for arm in INIT_MODES if args.ablate else (spec.init_mode,):
+        grown = (expanded if arm == spec.init_mode
+                 else expand(model, replace(spec, init_mode=arm))[0])
+        states[arm] = run_training(grown, ids, cfg.train, schedule)
     if args.ablate:
-        result = ablation_run(model, ids, spec, cfg.train)
-        for i, (arm, state) in enumerate(result.states.items()):
-            write_metrics_csv(_artifact(out, "ablation.csv"), state.metrics, arm=arm, append=i > 0)
-        state = result.states[spec.init_mode]
+        for i, (arm, arm_state) in enumerate(states.items()):
+            write_metrics_csv(_artifact(out, "ablation.csv"), arm_state.metrics, arm=arm,
+                              append=i > 0)
         print(f"ablation traces written to {out / 'ablation.csv'}")
-    else:
-        state = run_training(expanded, ids, cfg.train, schedule)
-    trained = state.model
-    save_checkpoint(_artifact(out, "checkpoint"), trained, cfg.seed,
+    state = states[spec.init_mode]
+    save_checkpoint(_artifact(out, "checkpoint"), state.model, cfg.seed,
                     optimizer=OptimizerSnapshot(step=state.step, moments_m=state.moments_m,
                                                 moments_v=state.moments_v))
     write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
     _artifact(out, "expansion_report.json").write_text(
-        json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")
+        json.dumps({"identity_deviation": deviation, **asdict(report)}, indent=2) + "\n",
+        encoding="utf-8")
     print(f"added {report.added_params} parameters; trainable {len(report.trainable)} tensors")
     print(f"checkpoint: {out / 'checkpoint'}")
     return EXIT_OK

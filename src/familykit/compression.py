@@ -11,8 +11,8 @@ one decomposition gives both a matrix's truncation loss L_min and its
 factor pair at whatever rank the plan settles on.
 
 Per-matrix removal ratios are distributed within a group proportionally to
-inverted-log truncation losses, then integer ranks are nudged until the
-achieved parameter removal lands within 2% of the requested target.
+one score per matrix, `inverted_log_score(L_min)`, then integer ranks are
+nudged until the achieved parameter removal lands within 2% of target.
 """
 
 from __future__ import annotations
@@ -49,17 +49,11 @@ class CalibrationSet:
     """Per-matrix input Gram = sum over positions of x x^T, in binary64."""
 
     grams: dict[str, np.ndarray] = field(default_factory=dict)
-    samples: dict[str, int] = field(default_factory=dict)
 
     def add(self, name: str, x: np.ndarray) -> None:
         x2d = x.reshape(-1, x.shape[-1]).astype(np.float64)
-        gram = x2d.T @ x2d
-        if name in self.grams:
-            self.grams[name] += gram
-            self.samples[name] += x2d.shape[0]
-        else:
-            self.grams[name] = gram
-            self.samples[name] = x2d.shape[0]
+        # -0.0 is the exact additive identity, so a first Gram keeps its bits
+        self.grams[name] = self.grams.get(name, -0.0) + x2d.T @ x2d
 
 
 def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
@@ -175,40 +169,33 @@ def truncation_loss(decomposition: Decomposition, rank: int) -> float:
 # ratio allocation (grouped, inverted-log scores)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatrixGroup:
-    group_id: str
-    members: list[str]
-    losses: dict[str, float]                    # member -> L_min
-    scores: dict[str, float] = field(default_factory=dict)  # member -> 1/log(L_min)
-
-    def __post_init__(self):
-        for name in self.members:
-            l_min = max(self.losses[name], SCORE_CLAMP)
-            self.scores[name] = 1.0 / math.log(l_min)
+def inverted_log_score(l_min: float) -> float:
+    """The paper's allocation score 1 / log(L_min), with L_min clamped to
+    just above 1 so that the score stays finite and positive."""
+    return 1.0 / math.log(max(l_min, SCORE_CLAMP))
 
 
-def allocate_ratios(groups: list[MatrixGroup], target_ratio: float) -> dict[str, float]:
-    """Per-matrix removal ratio: len(G) * R * s_i / sum(s), clamped to
-    [0.05, 0.95]. The unclamped group mean equals R exactly."""
+def allocate_ratios(groups: dict[str, dict[str, float]],
+                    target_ratio: float) -> dict[str, float]:
+    """Per-matrix removal ratio from {group id: {matrix: score}}:
+    len(G) * R * s_i / sum(s), clamped to [0.05, 0.95]. The unclamped group
+    mean equals R exactly."""
     if not 0.0 < target_ratio < 1.0:
         raise ConfigError("target ratio must be in (0, 1)")
     lo, hi = RATIO_BOUNDS
     out: dict[str, float] = {}
-    for group in groups:
-        scores = [group.scores[m] for m in group.members]
-        if any(not np.isfinite(s) or s <= 0 for s in scores):
-            raise NumericError(f"group {group.group_id} has degenerate scores")
-        total = math.fsum(scores)
+    for group_id, scores in groups.items():
+        if any(not np.isfinite(s) or s <= 0 for s in scores.values()):
+            raise NumericError(f"group {group_id} has degenerate scores")
+        total = math.fsum(scores.values())
         # evaluation order makes the symmetric case exact: len * s / total
         # is exactly 1.0 when every score is equal
-        raw = {m: len(group.members) * group.scores[m] / total * target_ratio
-               for m in group.members}
+        raw = {m: len(scores) * s / total * target_ratio for m, s in scores.items()}
         clamped = {m: min(max(r, lo), hi) for m, r in raw.items()}
-        if all(clamped[m] != raw[m] for m in group.members):
+        if all(clamped[m] != raw[m] for m in scores):
             log.warning("group %s: every ratio clamped; using uniform %.3f",
-                        group.group_id, target_ratio)
-            clamped = {m: target_ratio for m in group.members}
+                        group_id, target_ratio)
+            clamped = {m: target_ratio for m in scores}
         out.update(clamped)
     return out
 
@@ -277,13 +264,10 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
     decomps = {n: decompose(weights[n], ridged(calib.grams[n])) for n in names}
     losses = {n: truncation_loss(decomps[n], rank_for_ratio(*dims[n], target_ratio))
               for n in names}
-
-    by_group: dict[str, list[str]] = {}
+    scores = {n: inverted_log_score(losses[n]) for n in names}
+    groups: dict[str, dict[str, float]] = {}
     for n in names:
-        by_group.setdefault(group_of(n), []).append(n)
-    groups = [MatrixGroup(group_id=g, members=members,
-                          losses={m: losses[m] for m in members})
-              for g, members in sorted(by_group.items())]
+        groups.setdefault(group_of(n), {})[n] = scores[n]
     ratios = allocate_ratios(groups, target_ratio)
 
     ranks = {n: rank_for_ratio(dims[n][0], dims[n][1], ratios[n]) for n in names}
@@ -313,13 +297,12 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
 
     entries = []
     factors = {}
-    scores = {g.group_id: g.scores for g in groups}
     for n in names:
         out_dim, in_dim = dims[n]
         a, b = decomps[n].factors(ranks[n])
         factors[n] = (a.astype(np.float32), b.astype(np.float32))
         entries.append(PlanEntry(
-            name=n, l_min=losses[n], score=scores[group_of(n)][n], ratio=ratios[n],
+            name=n, l_min=losses[n], score=scores[n], ratio=ratios[n],
             rank=ranks[n], params_before=out_dim * in_dim,
             params_after=(out_dim + in_dim) * ranks[n]))
 

@@ -5,7 +5,8 @@ attention output projection and MLP down projection zeroed, so at step 0
 each new block contributes exactly nothing and the expanded branch is a
 bit-exact identity extension of the original. Internal projections are
 either freshly Gaussian ("randomized") or copied from an existing layer
-("clone"); the two arms of that ablation differ in nothing else.
+("clone"); the two arms of that ablation differ in nothing else, and
+`familykit expand --ablate` trains both on the same schedule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import ConfigError
 from .model import (FamilialModel, FamilyConfig, copy_model, forward_exits, init_block,
                     param_count, set_freeze)
 from .rng import SplitRng
-from .training import (LambdaSchedule, TrainConfig, TrainState, run_training)
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,6 @@ class ExpansionSpec:
 
 @dataclass
 class ExpansionReport:
-    identity_deviation: float
     added_params: int
     trainable: list[str]
     frozen_count: int
@@ -105,7 +104,6 @@ def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, Ex
 
     added = param_count(expanded)["total"] - before
     report = ExpansionReport(
-        identity_deviation=0.0,
         added_params=added,
         trainable=sorted(n for n, f in frozen.items() if not f),
         frozen_count=sum(frozen.values()),
@@ -187,28 +185,3 @@ def cosine_csv_rows(scores: np.ndarray, tokens: np.ndarray) -> list[str]:
             text = text.replace('"', '""')
             rows.append(f'{layer},{t},"{text}",{scores[layer, t]:.9g}')
     return rows
-
-
-@dataclass
-class AblationResult:
-    traces: dict[str, list[float]]          # arm -> per-step target-branch loss
-    states: dict[str, TrainState]
-
-
-def ablation_run(model: FamilialModel, corpus_ids: np.ndarray, spec: ExpansionSpec,
-                 train_config: TrainConfig) -> AblationResult:
-    """Train two expansions that differ only in internal init.
-
-    Both arms share seeds, schedules and data order; step-0 losses are
-    identical because both start as exact identity extensions.
-    """
-    result = AblationResult(traces={}, states={})
-    for mode in INIT_MODES:
-        arm_spec = replace(spec, init_mode=mode)
-        grown, _ = expand(model, arm_spec)
-        schedule = LambdaSchedule.branch_only(grown.config.n_branches,
-                                              spec.target_branch, train_config.total_steps)
-        state = run_training(grown, corpus_ids, train_config, schedule, log_every=0)
-        result.traces[mode] = [m.branch_losses[spec.target_branch] for m in state.metrics]
-        result.states[mode] = state
-    return result

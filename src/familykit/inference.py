@@ -8,18 +8,16 @@ again only after a rollback has discarded it.
 
 Decoding is self-speculative. The shallowest exit runs at each new
 position: where it fires, its token is final; elsewhere its token is a
-draft, pushed so that the next position can run. Once a window of drafts
-is open, each deeper exit runs in turn over the positions still undecided,
-one multi-row call per block, and the first exit that fires at a position
-(or the final one) decides its token. Positions are accepted in order up
-to the first decided token that differs from its draft, which takes the
-decided token; `GenState.rollback` forgets every position after it. The
-window halves after a rejection and doubles after a fully accepted one,
-between 1 and `ROW_TILE` undecided positions. When a token exits early,
-deeper layers for its position are skipped; under the default "lazy"
-policy they run only when a later position climbs that deep, and
-"always" backfills every pushed position through every block after each
-verified window.
+draft, pushed so that the next position can run. Once `ROW_TILE` drafts
+are undecided (or decoding must stop), each deeper exit runs in turn over
+the positions still undecided, one multi-row call per block, and the first
+exit that fires at a position (or the final one) decides its token.
+Positions are accepted in order up to the first decided token that differs
+from its draft, which takes the decided token; `GenState.rollback` forgets
+every position after it. When a token exits early, deeper layers for its
+position are skipped; under the default "lazy" policy they run only when a
+later position climbs that deep, and "always" backfills every pushed
+position through every block after each verified window.
 
 Each block step is the model's own `block_forward` run over the raw
 kernels of `familykit.kernels`, with a hook that writes the step's keys
@@ -242,14 +240,12 @@ def _decode_token(logits: np.ndarray, policy: ExitPolicy, u: float) -> int:
 
 
 def _verify(state: GenState, records: list[TokenRecord], undecided: list[int], base: int,
-            deeper: tuple[int, ...], policy: ExitPolicy, uniforms: list[float]) -> bool:
+            deeper: tuple[int, ...], policy: ExitPolicy, uniforms: list[float]) -> None:
     """Decide the drafted `records[i]` for i in `undecided` (record i
     queries position base + i) exit by exit through `deeper`, each exit in
     one call over the positions still undecided. A position that decides a
     token other than its draft takes that token and ends the window: the
-    records after it are dropped, and deeper exits skip their positions.
-    Returns whether that happened."""
-    rejected = False
+    records after it are dropped, and deeper exits skip their positions."""
     for k in deeper:
         if not undecided:
             break
@@ -266,10 +262,8 @@ def _verify(state: GenState, records: list[TokenRecord], undecided: list[int], b
             if token != record.token_id:
                 record.token_id = token
                 del records[i + 1:]
-                rejected = True
                 break
         undecided = still
-    return rejected
 
 
 def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
@@ -303,13 +297,12 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
     trace = GenerationTrace(prompt=list(prompt))
     first, final = exits[0], exits[-1]
     uniforms: list[float] = []  # one per step, drawn once; a redone step reuses its own
-    window = ROW_TILE
 
     while len(trace.records) < max_new:
         base = state.n_positions - 1
         records: list[TokenRecord] = []
         undecided: list[int] = []
-        while True:  # draft until `window` positions are undecided or decoding must stop
+        while True:  # draft until ROW_TILE positions are undecided or decoding must stop
             step = len(trace.records) + len(records)
             if step == len(uniforms):
                 uniforms.append(float(rng.uniform(())) if rng else 0.0)
@@ -321,11 +314,11 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
             if conf < policy.threshold and first != final:
                 undecided.append(len(records) - 1)
             if (token == EOS or state.n_positions >= cfg.ctx_len or step + 1 == max_new
-                    or len(undecided) == window):
+                    or len(undecided) == ROW_TILE):
                 break
             state.push_token(token)
 
-        rejected = _verify(state, records, undecided, base, exits[1:], policy, uniforms)
+        _verify(state, records, undecided, base, exits[1:], policy, uniforms)
         state.rollback(base + len(records))
         trace.records += records
         trace.tokens += [r.token_id for r in records]
@@ -341,5 +334,4 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
                 state.ensure_branch(k, state.n_positions - 2)
         if stop:
             break
-        window = max(window // 2, 1) if rejected else min(window * 2, ROW_TILE)
     return trace

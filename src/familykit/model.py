@@ -421,7 +421,7 @@ def forward_exits(model: FamilialModel, tokens, branches: list[int],
                   tap: Callable[[str, np.ndarray], None] | None = None,
                   on_block: Callable[[str, object, object], None] | None = None,
                   ops: ModuleType = tensor) -> list:
-    """Logits of `branches` (ascending) over a (B, T) token batch from one pass.
+    """Logits of `branches` (strictly ascending) over a (B, T) token batch from one pass.
 
     The backbone runs only as deep as the deepest requested exit; each
     branch's blocks and head run off the residual stream tapped at its exit
@@ -433,6 +433,8 @@ def forward_exits(model: FamilialModel, tokens, branches: list[int],
     for k in branches:
         if not 0 <= k < cfg.n_branches:
             raise InputError(f"branch {k} out of range")
+    if not branches or any(a >= b for a, b in zip(branches, branches[1:])):
+        raise InputError(f"branches must be nonempty, ascending and distinct, got {branches}")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim == 1:
         tokens = tokens[None, :]

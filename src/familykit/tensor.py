@@ -458,10 +458,8 @@ def causal_mask(t_q: int, t_k: int) -> Array:
 def rope(x: Tensor, cos: Array, sin: Array) -> Tensor:
     out_data = k_rope(x.data, cos, sin)
 
-    def bwd(g: Array) -> None:
-        half = g.shape[-1] // 2
-        g1, g2 = g[..., :half], g[..., half:]
-        _accumulate(x, np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1))
+    def bwd(g: Array) -> None:  # the transposed rotation is the inverse one, R(-theta)
+        _accumulate(x, k_rope(g, cos, -sin))
 
     return _make(out_data, (x,), bwd)
 

@@ -18,7 +18,7 @@ from conftest import (cast_model, desk_run_config, finite_difference_grads, make
 
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.cli import main as cli_main
-from familykit.compression import (MatrixGroup, allocate_ratios, decompose,
+from familykit.compression import (allocate_ratios, decompose, inverted_log_score,
                                    truncation_loss)
 from familykit.data import BOS
 from familykit.errors import NumericError
@@ -210,14 +210,11 @@ def test_criterion_06_decomposition_numerics():
     plain = u[:, :3] @ np.diag(s[:3]) @ vt[:3]
     eckart_ok = np.max(np.abs(a3 @ b3 - plain)) < 1e-5
 
-    group = MatrixGroup("g", ["a", "b", "c"], {"a": 3.3, "b": 3.3, "c": 3.3})
-    ratios = allocate_ratios([group], 0.4)
+    ratios = allocate_ratios({"g": {m: inverted_log_score(3.3) for m in "abc"}}, 0.4)
     symmetric_ok = all(r == 0.4 for r in ratios.values())
-    uneven = MatrixGroup("g", ["a", "b", "c"],
-                         {"a": 2.7, "b": 9.1, "c": 30.0})
-    raw_mean = np.mean([len(uneven.members) * uneven.scores[m]
-                        / math.fsum(uneven.scores.values()) * 0.4
-                        for m in uneven.members])
+    uneven = {m: inverted_log_score(loss) for m, loss in zip("abc", (2.7, 9.1, 30.0))}
+    raw_mean = np.mean([len(uneven) * s / math.fsum(uneven.values()) * 0.4
+                        for s in uneven.values()])
     mean_ok = abs(raw_mean - 0.4) < 1e-12
 
     ok = full_rank_ok and monotone_ok and eckart_ok and symmetric_ok and mean_ok

@@ -254,6 +254,29 @@ def test_cli_compress_calibrates_on_corpus_and_measures_on_eval_corpus(mini_pipe
     assert np.array_equal(seen["measure_compression"], load_corpus(held_out))
 
 
+@pytest.mark.parametrize("init", ["randomized", "clone"])
+def test_cli_expand_ablate_keeps_the_spec_arm(mini_pipeline, tmp_path, init):
+    """`--ablate` only adds ablation.csv: the spec's arm is the run that
+    `expand` makes without the flag, and its trace is that run's metrics."""
+    root = mini_pipeline["root"]
+    argv = ["expand", "--config", str(mini_pipeline["cfg"]), "--init", init,
+            "--checkpoint", str(root / "t" / "checkpoint"),
+            "--train.total_steps=12", "--train.warmup_steps=2"]
+    plain, ablate = tmp_path / "plain", tmp_path / "ablate"
+    assert cli_main(argv + ["--out", str(plain)]) == 0
+    assert cli_main(argv + ["--out", str(ablate), "--ablate"]) == 0
+    files = sorted(p.relative_to(plain) for p in plain.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(ablate) for p in ablate.rglob("*")
+                  if p.is_file() and p.name != "ablation.csv") == files
+    for name in files:
+        assert (plain / name).read_bytes() == (ablate / name).read_bytes(), name
+    metrics = (plain / "metrics.csv").read_text().splitlines()
+    rows = (ablate / "ablation.csv").read_text().splitlines()
+    assert rows[0] == metrics[0] + ",arm"
+    assert [r for r in rows[1:] if r.endswith(f",{init}")] == [m + f",{init}"
+                                                               for m in metrics[1:]]
+
+
 def test_cli_metrics_has_rows_per_branch(mini_pipeline):
     lines = (mini_pipeline["root"] / "t" / "metrics.csv").read_text().splitlines()
     assert lines[0] == "step,branch,loss,lambda,lr,grad_norm"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from familykit import compression, kernels
-from familykit.compression import (CalibrationSet, MatrixGroup, allocate_ratios,
-                                   apply_compression, build_plan, capture_activations,
-                                   decompose, group_of, rank_for_ratio, ridged,
+from familykit.compression import (CalibrationSet, allocate_ratios, apply_compression,
+                                   build_plan, capture_activations, decompose, group_of,
+                                   inverted_log_score, rank_for_ratio, ridged,
                                    truncation_loss, whiten)
 from familykit.errors import ConfigError, DefinitenessError, IntegrityError
 from familykit.evaluation import branch_perplexity
@@ -52,7 +52,6 @@ def test_gram_of_one_hot_sample():
     e2[2] = 1.0
     calib.add("w", e2[None, None])
     assert np.array_equal(calib.grams["w"], np.outer(e2, e2))
-    assert calib.samples["w"] == 1
 
 
 def test_capture_scope_and_accumulation(expanded):
@@ -222,39 +221,35 @@ def test_svd_whitening_tail_loss_bounds_trace_loss():
 # ---------------------------------------------------------------------------
 
 def test_equal_losses_give_target_everywhere():
-    group = MatrixGroup("g", ["a", "b", "c"], {"a": 7.0, "b": 7.0, "c": 7.0})
-    assert allocate_ratios([group], 0.4) == {"a": 0.4, "b": 0.4, "c": 0.4}
+    group = {m: inverted_log_score(7.0) for m in ("a", "b", "c")}
+    assert allocate_ratios({"g": group}, 0.4) == {"a": 0.4, "b": 0.4, "c": 0.4}
 
 
 def test_two_to_one_score_split():
-    group = MatrixGroup("g", ["a", "b"], {"a": 1.0, "b": 1.0})
-    group.scores = {"a": 2.0, "b": 1.0}
-    ratios = allocate_ratios([group], 0.3)
+    ratios = allocate_ratios({"g": {"a": 2.0, "b": 1.0}}, 0.3)
     assert abs(ratios["a"] - 0.4) < 1e-12 and abs(ratios["b"] - 0.2) < 1e-12
 
 
 def test_group_mean_equals_target_before_clamping():
     rng = np.random.default_rng(45)
     losses = {f"m{i}": float(v) for i, v in enumerate(rng.uniform(1.5, 40.0, 6))}
-    group = MatrixGroup("g", list(losses), losses)
-    raw = {m: len(losses) * 0.37 * group.scores[m] / math.fsum(group.scores.values())
+    scores = {m: inverted_log_score(loss) for m, loss in losses.items()}
+    raw = {m: len(losses) * 0.37 * scores[m] / math.fsum(scores.values())
            for m in losses}
     assert abs(np.mean(list(raw.values())) - 0.37) < 1e-12
 
 
 def test_all_clamped_falls_back_to_uniform(caplog):
     # one huge score and one tiny score force both members out of bounds
-    group = MatrixGroup("g", ["a", "b"], {"a": 1.0, "b": 1.0})
-    group.scores = {"a": 1e9, "b": 1e-9}
     with caplog.at_level(logging.WARNING):
-        ratios = allocate_ratios([group], 0.5)
+        ratios = allocate_ratios({"g": {"a": 1e9, "b": 1e-9}}, 0.5)
     assert ratios == {"a": 0.5, "b": 0.5}
     assert any("clamped" in r.message for r in caplog.records)
 
 
 def test_tiny_loss_is_clamped_not_crashing():
-    group = MatrixGroup("g", ["a", "b"], {"a": 1e-12, "b": 5.0})
-    ratios = allocate_ratios([group], 0.3)
+    group = {"a": inverted_log_score(1e-12), "b": inverted_log_score(5.0)}
+    ratios = allocate_ratios({"g": group}, 0.3)
     # near-zero loss dominates: its share approaches the len*R bound of 0.6
     assert 0.59 < ratios["a"] <= 0.6
     assert ratios["b"] == 0.05  # floor clamp

@@ -7,7 +7,8 @@ from familykit import kernels, model as fk_model, tensor
 from familykit.errors import ConfigError, InputError, ShapeError
 from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
-                             init_model, named_parameters, param_count, set_freeze)
+                             forward_exits, init_model, named_parameters, param_count,
+                             set_freeze)
 from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_pad_keys, k_rmsnorm,
                               k_rope, k_silu, rope_tables)
 
@@ -301,6 +302,15 @@ def test_token_and_length_validation():
         forward_branch(model, np.zeros((1, 30), np.int64), 0)  # ctx is 16
     with pytest.raises(InputError):
         forward_branch(model, np.array([[1]]), 5)
+
+
+@pytest.mark.parametrize("branches", [[], [1, 0], [0, 0]],
+                         ids=["empty", "unsorted", "repeated"])
+def test_malformed_branch_list_rejected(branches):
+    # never fewer arrays than branches, a branch run twice, or an IndexError
+    model = init_model(tiny_config(), seed=11)
+    with pytest.raises(InputError, match="ascending"):
+        forward_exits(model, np.array([[1, 2]]), branches)
 
 
 # ---------------------------------------------------------------------------
