@@ -116,8 +116,8 @@ def build_run_config(doc: dict, overrides: list[tuple[str, str]] = ()) -> RunCon
             seed = int(env)
         except ValueError:
             raise ConfigError(f"{ENV_SEED}={env!r} is not an integer") from None
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     train = None
     if "train" in doc:

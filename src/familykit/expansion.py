@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .data import ByteTokenizer
 from .errors import ConfigError
-from .model import (FamilialModel, FamilyConfig, copy_model, forward_exits, init_block,
+from .model import (FamilialModel, FamilyConfig, copy_model, finite, forward_exits, init_block,
                     param_count, set_freeze)
 from .rng import SplitRng
 
@@ -44,6 +44,8 @@ class ExpansionSpec:
             raise ConfigError("n_new_blocks must be >= 1")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}")
+        if not finite(self.gaussian_std) or self.gaussian_std < 0:
+            raise ConfigError("gaussian_std must be finite and >= 0")
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from types import ModuleType
 from typing import Callable, Iterator, Union
@@ -66,8 +67,8 @@ class FamilyConfig:
             raise ConfigError("ctx_len must be >= 1")
         if self.q_heads < 1 or self.kv_heads < 1 or self.q_heads % self.kv_heads:
             raise ConfigError("q_heads must be a positive multiple of kv_heads")
-        if self.hidden % self.q_heads:
-            raise ConfigError("hidden must be divisible by q_heads")
+        if self.hidden < 1 or self.hidden % self.q_heads:
+            raise ConfigError("hidden must be a positive multiple of q_heads")
         if self.head_dim % 2:
             raise ConfigError("head dimension must be even for rotary embedding")
         if not self.exit_depths:
@@ -89,8 +90,8 @@ class FamilyConfig:
             raise ConfigError("n_layers must be >= 0")
         if self.mlp_mult < 1:
             raise ConfigError("mlp_mult must be >= 1")
-        if self.rms_eps <= 0 or self.rope_base <= 0:
-            raise ConfigError("rms_eps and rope_base must be positive")
+        if not finite(self.rms_eps, self.rope_base) or self.rms_eps <= 0 or self.rope_base <= 0:
+            raise ConfigError("rms_eps and rope_base must be positive and finite")
 
     @property
     def head_dim(self) -> int:
@@ -106,6 +107,12 @@ class FamilyConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "FamilyConfig":
         return from_fields(cls, d, "model config")
+
+
+def finite(*values) -> bool:
+    """Every value is a number a float holds: not NaN or +-inf, and no int
+    beyond float range, which would overflow where the math converts it."""
+    return all(-sys.float_info.max <= v <= sys.float_info.max for v in values)
 
 
 def _is_int(value) -> bool:

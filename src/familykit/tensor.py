@@ -30,10 +30,20 @@ temporaries, not the arithmetic, were most of its cost. A kernel that
 overwrites an argument says so, and its callers pass a buffer they own.
 Its backward keeps the operand layouts of separate `matmul`, `scale` and
 `masked_softmax` nodes, so values and gradients are theirs bit for bit.
+
+A train step frees its whole graph at once. By default glibc then returns
+the heap top to the kernel (its trim threshold follows the largest freed
+mmap chunk, about 2 MB at the desk shapes) and maps chunks above its mmap
+threshold afresh, so every step faulted the same ~10 MB of pages in again.
+Importing this module sets both thresholds high once, through `mallopt`,
+so freed arrays stay mapped for the next step; `HEAP_NOT_KEPT` says why
+not where that did not apply. Only where arrays live changes, never a
+value.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +51,28 @@ import numpy as np
 from .errors import DegenerateBatchError, GraphError, InputError, ShapeError
 
 Array = np.ndarray
+
+MMAP_THRESHOLD = 32 << 20  # glibc's largest on 64-bit: smaller chunks come from the heap
+TRIM_THRESHOLD = 128 << 20  # free heap kept mapped before glibc trims its top
+
+
+def _keep_freed_heap() -> str | None:
+    """Raise glibc's mmap and trim thresholds; None if both applied, else why not."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError) as exc:
+        return f"the C library has no mallopt ({exc})"
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # parameter numbers from glibc's malloc.h; mallopt returns 1 on success
+    for name, param, value in (("M_MMAP_THRESHOLD", -3, MMAP_THRESHOLD),
+                               ("M_TRIM_THRESHOLD", -1, TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            return f"mallopt refused {name} = {value}"
+    return None
+
+
+# None: freed arrays stay mapped between train steps; otherwise the reason they do not
+HEAP_NOT_KEPT: str | None = _keep_freed_heap()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import PAD, WindowSampler
 from .errors import ConfigError, DivergenceError
-from .model import FamilialModel, forward_all_branches, named_parameters
+from .model import FamilialModel, finite, forward_all_branches, named_parameters
 from .tensor import Tensor, add, backward, cross_entropy, scale
 
 log = logging.getLogger(__name__)
@@ -39,8 +39,10 @@ class LambdaSchedule:
     total_steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", tuple(float(x) for x in self.initial))
         final = self.initial if self.kind == "constant" else self.final
+        if not finite(*self.initial, *final):
+            raise ConfigError("branch weights must be finite")
+        object.__setattr__(self, "initial", tuple(float(x) for x in self.initial))
         object.__setattr__(self, "final", tuple(float(x) for x in final))
         if self.kind not in LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda schedule kind {self.kind!r}")
@@ -112,8 +114,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.peak_lr <= 0:
-            raise ConfigError("peak_lr must be > 0")
+        if not finite(self.peak_lr, self.weight_decay, self.beta1, self.beta2,
+                      self.adam_eps, self.grad_clip_norm):
+            raise ConfigError("peak_lr, weight_decay, betas, adam_eps and grad_clip_norm "
+                              "must be finite")
+        if self.peak_lr <= 0 or self.adam_eps <= 0:
+            raise ConfigError("peak_lr and adam_eps must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
+        if self.weight_decay < 0 or self.grad_clip_norm < 0:
+            raise ConfigError("weight_decay and grad_clip_norm must be >= 0 "
+                              "(a clip norm of 0 means no clipping)")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ConfigError("warmup_steps must lie in [0, total_steps]")
         if self.batch < 1 or self.seq_len < 2:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from conftest import desk_run_config, make_corpus
 from familykit import cli, errors
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.cli import main as cli_main
-from familykit.config import build_run_config, load_run_config, parse_overrides
+from familykit.config import (CompressionConfig, Paths, build_run_config, load_run_config,
+                              parse_overrides)
 from familykit.data import ByteTokenizer, WindowSampler, load_corpus
 from familykit.errors import ConfigError, DataError, InputError
 from familykit.evaluation import branch_perplexity
-from familykit.model import desk_config, init_model, named_parameters
+from familykit.expansion import ExpansionSpec
+from familykit.model import FamilyConfig, desk_config, init_model, named_parameters
+from familykit.training import LambdaSchedule, TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +115,9 @@ def test_seed_env_fallback(monkeypatch):
 def test_overrides_dotted_paths():
     doc = _doc()
     cfg = build_run_config(doc, [("train.peak_lr", "3e-4"), ("model.ctx_len", "32"),
-                                 ("compression.ratio", "0.5")])
+                                 ("compression.ratio", "0.5"), ("train.grad_clip_norm", "0")])
     assert cfg.train.peak_lr == 3e-4
+    assert cfg.train.grad_clip_norm == 0  # no clipping, still legal
     assert cfg.model.ctx_len == 32
     assert cfg.compression.ratio == 0.5
     with pytest.raises(ConfigError):
@@ -170,6 +176,66 @@ def test_mistyped_run_config_exits_2(tmp_path, section, key, value):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))
     assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    "train.peak_lr=NaN", "train.peak_lr=Infinity", "train.beta1=2", "train.beta2=-1",
+    "train.adam_eps=-1", "train.weight_decay=NaN", "train.grad_clip_norm=NaN",
+    "model.rms_eps=NaN", "model.rope_base=Infinity", "model.rope_base=NaN",
+    "model.hidden=-8", "lambda.initial=[NaN, 1.0]", "expansion.gaussian_std=NaN",
+    "expansion.gaussian_std=-1", "seed=-5", "seed=18446744073709551616",
+])
+def test_out_of_range_numbers_exit_2_before_writing(tmp_path, override):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=4))
+    doc = desk_run_config(corpus)
+    doc["train"].update(total_steps=1, warmup_steps=0)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out), f"--{override}"]) == 2
+    assert not out.exists()
+
+
+_SECTION_KEYS = {
+    "model": [f.name for f in fields(FamilyConfig)],
+    "train": [f.name for f in fields(TrainConfig)],
+    "lambda": [f.name for f in fields(LambdaSchedule)],
+    "expansion": [f.name for f in fields(ExpansionSpec)],
+    "compression": [f.name for f in fields(CompressionConfig)],
+    "paths": [f.name for f in fields(Paths)],
+}
+_OVERRIDE_KEYS = st.one_of(
+    st.sampled_from([f"{s}.{k}" for s, keys in _SECTION_KEYS.items() for k in keys]),
+    st.sampled_from(["seed", "model", "train", "typo", "model.dropout", "train.lr.x",
+                     "paths.out.x", ""]))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(-10**400, 10**400), st.integers(-3, 600),
+    st.floats(allow_nan=True, allow_infinity=True))
+_OVERRIDE_VALUES = st.one_of(
+    _JSON_SCALARS.map(json.dumps), st.lists(_JSON_SCALARS, max_size=4).map(json.dumps),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "abc", "[NaN, 1.0]"]))
+
+
+def _float_fields(obj):
+    """Values of every float-annotated field, nested dataclasses included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value)
+        elif "float" in str(f.type) and value is not None:
+            yield from value if isinstance(value, tuple) else (value,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OVERRIDE_KEYS, _OVERRIDE_VALUES)
+def test_random_override_gives_config_error_or_finite_config(key, value):
+    try:
+        cfg = build_run_config(_doc(), [(key, value)])
+    except ConfigError:
+        return
+    assert all(math.isfinite(float(x)) for x in _float_fields(cfg))
 
 
 def test_compress_target_branch_out_of_range_exits_2(tmp_path):

@@ -2,7 +2,8 @@
 standard library, numpy or familykit itself. scipy and other packages may be
 installed next to it but are not declared, so an import of one would break
 an install that has only what pyproject.toml asks for. Every module-level
-import is also used: one that is not is left over from deleted code."""
+import is also used: one that is not is left over from deleted code. Foreign
+calls stay behind one module: only `tensor` imports `ctypes`."""
 
 import ast
 import sys
@@ -12,8 +13,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "familykit"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "familykit"}
 
 
-def test_src_imports_only_stdlib_and_numpy():
-    foreign = []
+def _absolute_imports():
+    """(module file name, top-level package) for every absolute import in src."""
     for module in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -22,9 +23,17 @@ def test_src_imports_only_stdlib_and_numpy():
                 names = [node.module]
             else:
                 continue
-            foreign += [f"{module.name}: {n}" for n in names
-                        if n.split(".")[0] not in ALLOWED]
+            yield from ((module.name, n.split(".")[0]) for n in names)
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    foreign = [f"{module}: {name}" for module, name in _absolute_imports()
+               if name not in ALLOWED]
     assert not foreign, foreign
+
+
+def test_one_module_makes_foreign_calls():
+    assert {module for module, name in _absolute_imports() if name == "ctypes"} == {"tensor.py"}
 
 
 # modules whose imports are their API: the package exports and the kernel namespace

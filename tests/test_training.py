@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import desk_run_config, make_corpus, tiny_config, unigram_entropy
 
 import familykit
+from familykit import tensor
 from familykit.data import WindowSampler
 from familykit.errors import ConfigError, DivergenceError
 from familykit.model import (desk_config, forward_all_branches, init_model,
@@ -324,3 +325,32 @@ def test_warning_when_everything_frozen(caplog):
     with caplog.at_level("WARNING"):
         train_step(state, _batch(8))
     assert any("frozen" in r.message for r in caplog.records)
+
+
+def test_train_steps_reuse_freed_memory():
+    # a step frees its whole graph; with the heap kept mapped (tensor.HEAP_NOT_KEPT
+    # is None) the next step allocates into those pages instead of faulting fresh ones
+    if tensor.HEAP_NOT_KEPT:
+        pytest.skip(tensor.HEAP_NOT_KEPT)
+    import resource
+
+    cfg = TrainConfig(peak_lr=1e-3, warmup_steps=0, total_steps=50, batch=8, seq_len=64,
+                      seed=1)
+    state = TrainState(model=init_model(desk_config(), seed=1), config=cfg,
+                       schedule=LambdaSchedule.default(2, cfg.total_steps))
+    batches = [_batch(step, (8, 64), 259) for step in range(7)]
+    for batch in batches[:2]:
+        train_step(state, batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches[2:]:
+        train_step(state, batch)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def test_heap_setting_reports_why_it_did_not_apply(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", NoMallopt)
+    assert "no mallopt" in tensor._keep_freed_heap()
