@@ -28,7 +28,7 @@ from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
 from .linalg import cholesky_array, svd_array
 from .model import (LINEAR_SLOTS, Factored, FamilialModel, copy_model, forward_exits,
-                    get_weight_slot, param_count, set_weight_slot, weight_slots)
+                    linear_slots, param_count, weight_slots)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -49,11 +49,20 @@ class CalibrationSet:
     """Per-matrix input Gram = sum over positions of x x^T, in binary64."""
 
     grams: dict[str, np.ndarray] = field(default_factory=dict)
+    _last: tuple = field(default=(None, None), repr=False, compare=False)
 
     def add(self, name: str, x: np.ndarray) -> None:
-        x2d = x.reshape(-1, x.shape[-1]).astype(np.float64)
+        """Add x x^T to the Gram of `name`. The array added last and its
+        product are kept: w_q, w_k and w_v read one array in a forward, and
+        so do w_gate and w_up, so each such product is made once (an array
+        must not change between two adds of it)."""
+        seen, product = self._last
+        if x is not seen:
+            x2d = x.reshape(-1, x.shape[-1]).astype(np.float64)
+            product = x2d.T @ x2d
+            self._last = (x, product)
         # -0.0 is the exact additive identity, so a first Gram keeps its bits
-        self.grams[name] = self.grams.get(name, -0.0) + x2d.T @ x2d
+        self.grams[name] = self.grams.get(name, -0.0) + product
 
 
 def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
@@ -150,9 +159,10 @@ class Decomposition:
         return a, b
 
 
-def decompose(w: np.ndarray, gram: np.ndarray) -> Decomposition:
-    """One whitening and one SVD; every rank's factors and loss are read off it."""
-    wf = whiten(gram)
+def decompose(w: np.ndarray, gram: np.ndarray | WhitenFactors) -> Decomposition:
+    """One whitening (none if `gram` is given as its factors) and one SVD;
+    every rank's factors and loss are read off it."""
+    wf = gram if isinstance(gram, WhitenFactors) else whiten(gram)
     u, s, vt = svd_array(np.asarray(w, dtype=np.float64) @ wf.factor)
     return Decomposition(u=u, s=s, vt=vt, inverse=wf.inverse)
 
@@ -246,9 +256,10 @@ def group_of(name: str) -> str:
     return "heads" if name.endswith(".lm_proj") else name.rsplit(".", 1)[0]
 
 
-def _matrix(model: FamilialModel, name: str) -> np.ndarray:
+def _matrix(slots: dict[str, tuple[object, str]], name: str) -> np.ndarray:
     """W (out x in) in binary64; a factored slot cannot be planned again."""
-    slot = get_weight_slot(model, name)
+    owner, attr = slots[name]
+    slot = getattr(owner, attr)
     if isinstance(slot, Factored):
         raise ConfigError(f"{name} is already factored")
     return slot.data.T.astype(np.float64)
@@ -259,9 +270,18 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
     """Eq-driven per-matrix ratios, floor ranks, then a rank repair pass so
     the achieved removal over the scope lands within 2% of target."""
     names = sorted(calib.grams)
-    weights = {n: _matrix(model, n) for n in names}
+    slots = linear_slots(model)
+    weights = {n: _matrix(slots, n) for n in names}
     dims = {n: weights[n].shape for n in names}
-    decomps = {n: decompose(weights[n], ridged(calib.grams[n])) for n in names}
+    # matrices that read one input have equal Grams: each is whitened once
+    whitened: dict[bytes, WhitenFactors] = {}
+    decomps = {}
+    for n in names:
+        gram = ridged(calib.grams[n])
+        key = gram.tobytes()
+        if key not in whitened:
+            whitened[key] = whiten(gram)
+        decomps[n] = decompose(weights[n], whitened[key])
     losses = {n: truncation_loss(decomps[n], rank_for_ratio(*dims[n], target_ratio))
               for n in names}
     scores = {n: inverted_log_score(losses[n]) for n in names}
@@ -319,18 +339,19 @@ def apply_compression(model: FamilialModel, plan: CompressionPlan) -> FamilialMo
     """Replace each planned matrix with its factored pair on a copy of the
     model; every parameter outside the plan is untouched bit for bit."""
     compressed = copy_model(model)
+    slots = linear_slots(compressed)
     for entry in plan.entries:
-        try:
-            slot = get_weight_slot(compressed, entry.name)
-        except KeyError:
+        if entry.name not in slots:
             raise IntegrityError(f"plan names {entry.name!r}, model has no such matrix")
+        owner, attr = slots[entry.name]
+        slot = getattr(owner, attr)
         if isinstance(slot, Factored):
             raise IntegrityError(f"{entry.name} is already factored")
         a, b = plan.factors[entry.name]
         in_dim, out_dim = slot.data.shape
         if a.shape != (out_dim, entry.rank) or b.shape != (entry.rank, in_dim):
             raise IntegrityError(f"plan factors for {entry.name} do not fit the model")
-        set_weight_slot(compressed, entry.name, Factored(
+        setattr(owner, attr, Factored(
             b=Tensor(np.ascontiguousarray(b.T), requires_grad=True),
             a=Tensor(np.ascontiguousarray(a.T), requires_grad=True)))
     return compressed

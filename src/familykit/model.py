@@ -31,6 +31,7 @@ from .rng import SplitRng
 from .tensor import Tensor, causal_mask, rope_tables
 
 INIT_STD = 0.02
+MAX_ELEMENTS = 1 << 36  # 256 GiB of float32: a bound on parameters and on any one buffer
 
 BLOCK_MATRICES = ("w_q", "w_k", "w_v", "w_o", "w_gate", "w_up", "w_down")
 BLOCK_NORMS = ("attn_norm", "mlp_norm")
@@ -92,6 +93,16 @@ class FamilyConfig:
             raise ConfigError("mlp_mult must be >= 1")
         if not finite(self.rms_eps, self.rope_base) or self.rms_eps <= 0 or self.rope_base <= 0:
             raise ConfigError("rms_eps and rope_base must be positive and finite")
+        # counted in Python ints before anything is allocated: the parameters,
+        # and the scores, MLP rows and logits of one full-context sequence
+        h, block = self.hidden, sum(a * b for a, b in _block_shapes(self).values())
+        sizes = {"parameters": (self.vocab * h + (self.n_layers + sum(self.branch_blocks))
+                                * (block + 2 * h) + self.n_branches * (h + h * self.vocab)),
+                 "forward buffer": self.ctx_len * max(self.q_heads * self.ctx_len,
+                                                      self.mlp_mult * h, self.vocab)}
+        for what, n in sizes.items():
+            if n > MAX_ELEMENTS:
+                raise ConfigError(f"{what} of {n} elements exceed the bound of {MAX_ELEMENTS}")
 
     @property
     def head_dim(self) -> int:
@@ -301,19 +312,21 @@ def named_parameters(model: FamilialModel) -> list[tuple[str, Tensor]]:
     return out
 
 
-def _linear_slots(model: FamilialModel) -> dict[str, tuple[object, str]]:
+def linear_slots(model: FamilialModel) -> dict[str, tuple[object, str]]:
+    """Name -> (owner, attribute) of every linear slot, from one walk; a
+    caller that reads or writes many slots builds it once."""
     return {name: (owner, attr) for name, owner, attr in weight_slots(model)
             if attr in LINEAR_SLOTS}
 
 
 def get_weight_slot(model: FamilialModel, name: str) -> Weight:
     """The plain or factored weight of linear slot `name` (KeyError if none)."""
-    owner, attr = _linear_slots(model)[name]
+    owner, attr = linear_slots(model)[name]
     return getattr(owner, attr)
 
 
 def set_weight_slot(model: FamilialModel, name: str, value: Weight) -> None:
-    owner, attr = _linear_slots(model)[name]
+    owner, attr = linear_slots(model)[name]
     setattr(owner, attr, value)
 
 

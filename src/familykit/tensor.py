@@ -120,7 +120,9 @@ def _rmsnorm(x: Array, gamma: Array, eps: float) -> tuple[Array, Array]:
     mean_sq = np.sum(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(mean_sq + np.asarray(eps, x.dtype))
     inv = inv.astype(x.dtype)
-    return x * inv * gamma, inv
+    out = x * inv
+    out *= gamma  # (x * inv) * gamma, as the expression rounds it
+    return out, inv
 
 
 def k_rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
@@ -128,9 +130,31 @@ def k_rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
 
 
 def k_softmax(x: Array, axis: int) -> Array:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
+
+
+WIDE_CALL_ROWS = 256  # rows from which `_row_max` avoids numpy's per-row reduce
+
+
+def _row_max(x: Array) -> Array:
+    """np.max(x, axis=-1, keepdims=True), exactly. A maximum is one of its
+    operands, so any order of comparisons gives the same value, NaN included
+    (only the sign of a zero maximum may differ, which no caller sees:
+    z - 0.0 == z - -0.0 for every z but a zero, and exp(0.0) == exp(-0.0)).
+    numpy's reduce along a narrow last axis pays about 140 ns per row, so a
+    call of `WIDE_CALL_ROWS` or more rows takes the elementwise maximum of 8
+    column-strided slices, then one reduce over their (8, rows) transpose;
+    fewer rows, as in decoding, cost less through the one reduce."""
+    rows = x.reshape(-1, x.shape[-1])
+    if len(rows) < WIDE_CALL_ROWS or rows.shape[1] % 8:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+    m = np.maximum(rows[:, 0::8], rows[:, 1::8])
+    for j in range(2, 8):
+        np.maximum(m, rows[:, j::8], out=m)
+    return np.maximum.reduce(np.ascontiguousarray(m.T), axis=0).reshape(x.shape[:-1] + (1,))
 
 
 def k_masked_softmax(scores: Array, allowed: Array) -> Array:
@@ -148,7 +172,7 @@ def k_masked_softmax(scores: Array, allowed: Array) -> Array:
     full-prefix forwards.
     """
     np.copyto(scores, -np.inf, where=~allowed)
-    scores -= np.max(scores, axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     np.exp(scores, out=scores)
     scores /= k_matmul(scores, np.ones((scores.shape[-1], 1), scores.dtype))
     return scores
@@ -197,8 +221,12 @@ def k_attention(q: Array, k: Array, v: Array, allowed: Array, scale: float) -> A
 
 
 def _silu(x: Array) -> tuple[Array, Array]:
-    """`k_silu` and the sigmoid that its gradient reuses."""
-    sig = 1.0 / (1.0 + np.exp(-x))
+    """`k_silu` and the sigmoid 1 / (1 + exp(-x)) that its gradient reuses,
+    computed in one buffer."""
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     return x * sig, sig
 
 
@@ -207,19 +235,32 @@ def k_silu(x: Array) -> Array:
 
 
 def k_rope(x: Array, cos: Array, sin: Array) -> Array:
-    """Rotate head channels pairwise: x is (..., Dh) and cos/sin broadcast
-    against its (..., Dh/2) halves, e.g. (T, 1, Dh/2) for (B, T, H, Dh)."""
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    """Rotate head channel i with channel i + Dh/2: x * C + swap_halves(x) * S
+    for the full-width tables C = [cos, cos] and S = [-sin, sin] of
+    `rope_tables` in x's dtype, broadcast against x's (..., Dh), e.g.
+    (T, 1, Dh) for (B, T, H, Dh). That is the two-half rotation
+    [x1 cos - x2 sin, x1 sin + x2 cos] bit for bit: x2 * -s == -(x2 * s)
+    and a + -b == a - b exactly, and addition commutes. The halves swap in
+    one copy, each half viewed as one element of a void dtype."""
+    d = x.shape[-1]
+    half = np.dtype((np.void, d // 2 * x.itemsize))
+    pairs = np.ascontiguousarray(x).reshape(-1, d).view(half)
+    swapped = np.empty(x.shape, x.dtype)
+    swapped.reshape(-1, d).view(half)[:, ::-1] = pairs
+    swapped *= sin
+    out = x * cos
+    out += swapped
+    return out
 
 
 def rope_tables(positions: Array, head_dim: int, base: float, dtype=np.float32):
-    """cos/sin tables for absolute `positions`, shaped (len, head_dim // 2)."""
+    """Full-width tables (C, S) = ([cos, cos], [-sin, sin]) of `k_rope` for
+    absolute `positions`, each shaped (len, head_dim)."""
     half = head_dim // 2
     inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
     ang = np.asarray(positions, np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    cos, sin = np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
 
 def k_embedding(table: Array, ids: Array) -> Array:
@@ -244,11 +285,16 @@ def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np
         raise DegenerateBatchError("cross_entropy over zero effective positions")
     if targets[keep].min() < 0 or targets[keep].max() >= vocab:
         raise InputError("target id outside [0, vocab)")
-    flat = logits.reshape(-1, vocab).astype(np.float64)
+    flat = logits.reshape(-1, vocab)
     kflat = keep.reshape(-1)
-    m = np.max(flat, axis=-1)
-    lse = m + np.log(np.sum(np.exp(flat - m[:, None]), axis=-1))
-    nll = lse - flat[np.arange(flat.shape[0]), np.where(kflat, targets.reshape(-1), 0)]
+    # target logits and row maxima are read before widening, which is exact;
+    # then one float64 copy is shifted and exponentiated in place
+    picked = flat[np.arange(flat.shape[0]), np.where(kflat, targets.reshape(-1), 0)]
+    m = np.max(flat, axis=-1).astype(np.float64)
+    shifted = flat.astype(np.float64)
+    shifted -= m[:, None]
+    np.exp(shifted, out=shifted)
+    nll = m + np.log(np.sum(shifted, axis=-1)) - picked
     return np.float64(nll[kflat].sum() / kflat.sum())
 
 

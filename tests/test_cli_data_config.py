@@ -197,6 +197,26 @@ def test_out_of_range_numbers_exit_2_before_writing(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["model.ctx_len=1000000000000"],
+    ["model.hidden=4000000000000"],
+    ["model.vocab=1000000000000"],
+    ["model.n_layers=1000000000000", "model.exit_depths=[2, 1000000000000]"],
+], ids=["ctx_len", "hidden", "vocab", "n_layers"])
+def test_huge_model_sizes_exit_2_before_allocating(tmp_path, capsys, overrides):
+    # each passes every structural check; only the size bound rejects it,
+    # before a parameter or buffer is allocated
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=4))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(desk_run_config(corpus)))
+    out = tmp_path / "o"
+    argv = ["train", "--config", str(cfg), "--out", str(out)]
+    assert cli_main(argv + [f"--{o}" for o in overrides]) == 2
+    assert "exceed the bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _SECTION_KEYS = {
     "model": [f.name for f in fields(FamilyConfig)],
     "train": [f.name for f in fields(TrainConfig)],
