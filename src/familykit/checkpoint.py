@@ -1,11 +1,20 @@
 """Checkpoint directory format.
 
 `manifest.json` carries the model config, a parameter table (name, dtype,
-shape, byte offset/length, trainable flag), the seed and format_version;
-`weights.bin` is the concatenation of all parameters as row-major
-little-endian binary32. Optimizer moments (when present) use the same
-entry scheme in `optim.bin` so training resumes bit-exactly. Saving is
-deterministic: save -> load -> save reproduces files byte for byte.
+shape, byte offset/length, trainable flag), the seed, format_version and
+the sha256 of each blob it describes; `weights.bin` is the concatenation
+of all parameters as row-major little-endian binary32. Optimizer moments
+(when present) use the same entry scheme in `optim.bin` so training
+resumes bit-exactly. Saving is deterministic: save -> load -> save
+reproduces files byte for byte.
+
+Loading checks each blob against its digest before parsing it, so a
+truncated or altered blob is an `IntegrityError` even where its values
+stay finite. Each file is written under a temporary name and renamed into
+place, the blobs first and the manifest last: a save cut short leaves no
+partial file under a checkpoint name, and a manifest never describes
+blobs that were not written whole (an earlier manifest left in place
+fails its digest check against the new blobs).
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +33,7 @@ from .model import (LINEAR_SLOTS, Factored, FamilialModel, FamilyConfig, blank_m
                     named_parameters, weight_slots)
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the manifest records a sha256 per blob
 MANIFEST = "manifest.json"
 WEIGHTS = "weights.bin"
 OPTIM = "optim.bin"
@@ -68,11 +78,19 @@ def _pack(entries: list[tuple[str, np.ndarray, bool]]):
     return table, b"".join(blobs)
 
 
+def _write_replacing(path: Path, data: bytes) -> None:
+    """Write `data` under a temporary name beside `path`, then rename it into place."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
                     optimizer: OptimizerSnapshot | None = None) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     table, blob = _pack([(name, p.data, p.requires_grad) for name, p in named_parameters(model)])
+    blobs = {WEIGHTS: blob}
     manifest = {
         "format_version": FORMAT_VERSION,
         "seed": int(seed),
@@ -84,11 +102,12 @@ def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
         for pname in optimizer.moments_m:
             moment_entries.append((f"{pname}::m", optimizer.moments_m[pname], True))
             moment_entries.append((f"{pname}::v", optimizer.moments_v[pname], True))
-        otable, oblob = _pack(moment_entries)
+        otable, blobs[OPTIM] = _pack(moment_entries)
         manifest["optimizer"] = {"step": int(optimizer.step), "entries": otable}
-        (path / OPTIM).write_bytes(oblob)
-    (path / WEIGHTS).write_bytes(blob)
-    (path / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    manifest["sha256"] = {name: hashlib.sha256(data).hexdigest() for name, data in blobs.items()}
+    for name, data in blobs.items():
+        _write_replacing(path / name, data)
+    _write_replacing(path / MANIFEST, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return path
 
 
@@ -99,11 +118,15 @@ def _field(doc, key: str, kind: type):
     return value
 
 
-def _read_blob(path: Path) -> bytes:
+def _read_blob(path: Path, manifest: dict) -> bytes:
+    """The bytes of a blob, checked against the sha256 the manifest records."""
     try:
-        return path.read_bytes()
+        blob = path.read_bytes()
     except OSError as exc:
         raise IntegrityError(f"cannot read {path}: {exc}") from exc
+    if hashlib.sha256(blob).hexdigest() != manifest["sha256"].get(path.name):
+        raise IntegrityError(f"{path} does not match the sha256 its manifest records")
+    return blob
 
 
 def _read_manifest(path: Path) -> dict:
@@ -117,7 +140,7 @@ def _read_manifest(path: Path) -> dict:
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise IntegrityError(f"unsupported checkpoint format_version {version!r}")
-    for key, kind in (("seed", int), ("config", dict), ("params", list)):
+    for key, kind in (("seed", int), ("config", dict), ("params", list), ("sha256", dict)):
         _field(manifest, key, kind)
     return manifest
 
@@ -160,7 +183,7 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
         config = FamilyConfig.from_dict(manifest["config"])
     except ConfigError as exc:
         raise IntegrityError(f"checkpoint manifest: {exc}") from exc
-    blob = _read_blob(path / WEIGHTS)
+    blob = _read_blob(path / WEIGHTS, manifest)
     entries = {_field(e, "name", str): e for e in manifest["params"]}
     if len(entries) != len(manifest["params"]):
         raise IntegrityError("checkpoint manifest names a parameter more than once")
@@ -196,7 +219,7 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
     if "optimizer" in manifest:
         section = manifest["optimizer"]
         optimizer = OptimizerSnapshot(step=_field(section, "step", int))
-        oblob = _read_blob(path / OPTIM)
+        oblob = _read_blob(path / OPTIM, manifest)
         table = _field(section, "entries", list)
         moments = {_field(e, "name", str): e for e in table}
         owners = dict.fromkeys(name.rpartition("::")[0] for name in moments)  # in table order

@@ -103,13 +103,20 @@ class GenerationTrace:
 
 
 def confidence(logits_row: np.ndarray) -> float:
-    """Max softmax probability of one vocabulary row, in [0, 1]."""
-    row = np.asarray(logits_row, dtype=np.float64)
-    if not np.all(np.isfinite(row)):
+    """Max softmax probability of one vocabulary row, in [0, 1].
+
+    The row is widened into one float64 copy of its own (never the caller's
+    array), which is shifted and exponentiated in place; the maximum and the
+    sum are the ufunc reductions that `np.max` and `np.sum` wrap, so the
+    bits are theirs without their Python-level wrappers."""
+    row = np.array(logits_row, dtype=np.float64)
+    if not np.logical_and.reduce(np.isfinite(row), axis=None):
         raise InputError("confidence requires finite logits")
+    row -= np.maximum.reduce(row, axis=None)
+    np.exp(row, out=row)
     # the softmax of the top entry, exp(0) / sum: the same bits as the
     # largest entry of the whole softmax, because rounded division is monotone
-    return float(1.0 / np.sum(np.exp(row - np.max(row))))
+    return float(1.0 / np.add.reduce(row, axis=None))
 
 
 EMBEDDING = ("embedding",)  # GenState buffer key of the embedded rows

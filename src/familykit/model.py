@@ -406,27 +406,30 @@ def block_forward(block: BlockWeights, h, cfg: FamilyConfig,
     mask `allowed`: every call attends over one key extent, so it stays
     row-stable. `kv(k, v)`, when given, receives the rotated keys and values
     of these rows and returns the ones to attend over (cached decoding
-    writes its cache and returns it whole).
+    writes its cache and returns it whole). A `tap` sees each linear input
+    under its slot's full name `{name}.{attribute}`; untapped, `apply_linear`
+    gets the bare attribute, so no name is formatted per call.
     """
     b, t, _ = h.shape
     dh = cfg.head_dim
     if allowed.shape != (t, cfg.ctx_len):
         raise ShapeError(f"attention mask {allowed.shape} is not ({t}, {cfg.ctx_len})")
     cos, sin = cos[:, None], sin[:, None]  # broadcast over the heads
+    prefix = "" if tap is None else f"{name}."
 
     a = ops.rmsnorm(h, ops.param(block.attn_norm), cfg.rms_eps)
-    q, k, v = (ops.reshape(apply_linear(a, getattr(block, m), f"{name}.{m}", tap, ops),
+    q, k, v = (ops.reshape(apply_linear(a, getattr(block, m), prefix + m, tap, ops),
                            (b, t, -1, dh)) for m in ("w_q", "w_k", "w_v"))
     q, k = ops.rope(q, cos, sin), ops.rope(k, cos, sin)
     if kv is not None:
         k, v = kv(k, v)
     ctx = ops.reshape(ops.attention(q, k, v, allowed, 1.0 / math.sqrt(dh)), (b, t, cfg.hidden))
-    h = h + apply_linear(ctx, block.w_o, f"{name}.w_o", tap, ops)
+    h = h + apply_linear(ctx, block.w_o, prefix + "w_o", tap, ops)
 
     m = ops.rmsnorm(h, ops.param(block.mlp_norm), cfg.rms_eps)
-    gate = ops.silu(apply_linear(m, block.w_gate, f"{name}.w_gate", tap, ops))
-    up = apply_linear(m, block.w_up, f"{name}.w_up", tap, ops)
-    return h + apply_linear(gate * up, block.w_down, f"{name}.w_down", tap, ops)
+    gate = ops.silu(apply_linear(m, block.w_gate, prefix + "w_gate", tap, ops))
+    up = apply_linear(m, block.w_up, prefix + "w_up", tap, ops)
+    return h + apply_linear(gate * up, block.w_down, prefix + "w_down", tap, ops)
 
 
 def head_logits(head: ExitHead, h, cfg: FamilyConfig, branch: int,

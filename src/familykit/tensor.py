@@ -82,44 +82,50 @@ HEAP_NOT_KEPT: str | None = _keep_freed_heap()
 ROW_TILE = 8  # rows per BLAS call in every forward product
 
 
-def k_pad_keys(x: Array, length: int) -> Array:
-    """(..., T, D) -> (..., length, D): zero rows after the T given ones."""
-    t = x.shape[-2]
-    if t == length:
-        return x
-    if t > length:
-        raise ShapeError(f"cannot pad {t} rows to {length}")
-    out = np.zeros(x.shape[:-2] + (length, x.shape[-1]), x.dtype)
-    out[..., :t, :] = x
-    return out
-
-
 def k_matmul(a: Array, b: Array) -> Array:
     """Row-stable matrix product for nd x 2d and 4d x 4d operands: one
     fixed-shape BLAS call per `ROW_TILE` rows of `a` (its leading axes
-    folded, or per (B, H) matrix of a 4-d operand)."""
+    folded, or per (B, H) matrix of a 4-d operand).
+
+    A row count that is a multiple of `ROW_TILE` goes to `np.matmul` as it
+    is, copied only if it is strided. Any other is copied once into a fresh
+    zero buffer of whole tiles, and the product's padding rows are sliced
+    off after (a strided view for a 4-d operand). Every operand reaches
+    `np.matmul` contiguous, because numpy may compute a strided one by
+    another loop than BLAS (numpy 2.4 does for a one-column product), which
+    rounds a row differently from the same row in a BLAS call."""
     if a.ndim >= 2 and b.ndim == 2:
-        rows = a.reshape(-1, a.shape[-1])
+        rows, lead = a.reshape(-1, a.shape[-1]), ()
     elif a.ndim == 4 and b.ndim == 4:
-        rows, b = a, b[:, :, None]  # each (B, H) matrix of b against each of its tiles
+        # each (B, H) matrix of b against each of its tiles
+        rows, lead, b = a, a.shape[:2], b[:, :, None]
     else:
         raise ShapeError(f"unsupported matmul arity: {a.shape} @ {b.shape}")
-    n = rows.shape[-2]
-    # numpy sends a strided operand to its own loop instead of BLAS, which
-    # would round a row differently from the same row in a BLAS call
-    padded = np.ascontiguousarray(k_pad_keys(rows, n + (-n % ROW_TILE)))
-    tiles = padded.reshape(padded.shape[:-2] + (-1, ROW_TILE, padded.shape[-1]))
-    out = np.matmul(tiles, np.ascontiguousarray(b)).reshape(padded.shape[:-1] + (b.shape[-1],))
-    return out[..., :n, :].reshape(a.shape[:-1] + (b.shape[-1],))
+    n, width = rows.shape[-2:]
+    pad = -n % ROW_TILE
+    if pad:
+        tiled = np.zeros(lead + (n + pad, width), rows.dtype)
+        if lead:
+            tiled[:, :, :n] = rows
+        else:
+            tiled[:n] = rows
+    else:
+        tiled = np.ascontiguousarray(rows)
+    out = np.matmul(tiled.reshape(lead + (-1, ROW_TILE, width)), np.ascontiguousarray(b))
+    if pad:
+        out = out.reshape(lead + (n + pad, -1))
+        out = out[:, :, :n] if lead else out[:n]
+    return out.reshape(a.shape[:-1] + (b.shape[-1],))
 
 
 def _rmsnorm(x: Array, gamma: Array, eps: float) -> tuple[Array, Array]:
     """`k_rmsnorm` and the inverse RMS that its gradient reuses."""
-    # sum / width gives np.mean's bits (its float64 quotient rounds to the
-    # same float32) without np.mean's Python-level wrapper on one-row calls
-    mean_sq = np.sum(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+    # the row sum over the width gives np.mean's bits (its float64 quotient
+    # rounds to the same float32) without the Python-level wrappers of
+    # np.mean and np.sum, which outweigh one-row calls; every step stays in
+    # x's dtype, so the inverse needs no cast
+    mean_sq = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(mean_sq + np.asarray(eps, x.dtype))
-    inv = inv.astype(x.dtype)
     out = x * inv
     out *= gamma  # (x * inv) * gamma, as the expression rounds it
     return out, inv
@@ -174,7 +180,9 @@ def k_masked_softmax(scores: Array, allowed: Array) -> Array:
     np.copyto(scores, -np.inf, where=~allowed)
     scores -= _row_max(scores)
     np.exp(scores, out=scores)
-    scores /= k_matmul(scores, np.ones((scores.shape[-1], 1), scores.dtype))
+    ones = np.empty((scores.shape[-1], 1), scores.dtype)
+    ones.fill(1)  # np.ones, without its Python-level wrapper around these two calls
+    scores /= k_matmul(scores, ones)
     return scores
 
 
@@ -195,12 +203,25 @@ def _token_major(x: Array, t: int) -> Array:
 def _attention(q: Array, k: Array, v: Array, allowed: Array,
                scale: float) -> tuple[Array, ...]:
     """`k_attention`, and the head-major probabilities, queries, transposed
-    keys and values that its gradient reuses."""
+    keys and values that its gradient reuses.
+
+    Keys and values take one copy each into their layouts, (B, Hkv, Dh, L)
+    and (B, Hkv, L, Dh): a plain transposed copy when they span the mask's
+    L columns (every decode call passes its whole cache), else a copy into
+    a fresh zero buffer of L columns."""
     b, t, hq, _ = q.shape
-    hkv, n_keys = k.shape[2], allowed.shape[1]
+    hkv, n, n_keys = k.shape[2], k.shape[1], allowed.shape[1]
+    if n > n_keys:
+        raise ShapeError(f"{n} keys do not fit the mask's {n_keys} columns")
     qh = _head_major(q, hkv)
-    kt = np.ascontiguousarray(np.swapaxes(k_pad_keys(k.transpose(0, 2, 1, 3), n_keys), -1, -2))
-    vh = np.ascontiguousarray(k_pad_keys(v.transpose(0, 2, 1, 3), n_keys))
+    if n == n_keys:
+        kt = np.ascontiguousarray(k.transpose(0, 2, 3, 1))
+        vh = np.ascontiguousarray(v.transpose(0, 2, 1, 3))
+    else:
+        kt = np.zeros((b, hkv, k.shape[3], n_keys), k.dtype)
+        kt[:, :, :, :n] = k.transpose(0, 2, 3, 1)
+        vh = np.zeros((b, hkv, n_keys, v.shape[3]), v.dtype)
+        vh[:, :, :n] = v.transpose(0, 2, 1, 3)
     s = k_matmul(qh, kt)
     # scaled in place, or into a fresh buffer where k_matmul returned a
     # strided view of its padded tiles: the softmax then runs on contiguous
@@ -243,7 +264,7 @@ def k_rope(x: Array, cos: Array, sin: Array) -> Array:
     and a + -b == a - b exactly, and addition commutes. The halves swap in
     one copy, each half viewed as one element of a void dtype."""
     d = x.shape[-1]
-    half = np.dtype((np.void, d // 2 * x.itemsize))
+    half = np.dtype(f"V{d // 2 * x.itemsize}")  # the string form builds in half the time
     pairs = np.ascontiguousarray(x).reshape(-1, d).view(half)
     swapped = np.empty(x.shape, x.dtype)
     swapped.reshape(-1, d).view(half)[:, ::-1] = pairs

@@ -50,6 +50,13 @@ def sum_all(x: Tensor) -> Tensor:
     return reshape(matmul(flat, Tensor(np.ones((flat.shape[1], 1)), dtype=x.dtype)), ())
 
 
+def pad_keys(x: np.ndarray, length: int) -> np.ndarray:
+    """(..., T, D) -> (..., length, D): zero rows after the T given ones."""
+    out = np.zeros(x.shape[:-2] + (length, x.shape[-1]), x.dtype)
+    out[..., :x.shape[-2], :] = x
+    return out
+
+
 def mean_all(x: Tensor) -> Tensor:
     return scale(sum_all(x), 1.0 / x.data.size)
 

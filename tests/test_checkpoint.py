@@ -1,13 +1,21 @@
+import hashlib
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cast_model, make_corpus, tiny_config
 
 from familykit.cli import main as cli_main
-from familykit.checkpoint import (OptimizerSnapshot, config_fingerprint,
-                                  ensure_compatible, load_checkpoint, save_checkpoint)
+from familykit import checkpoint
+from familykit.checkpoint import (FORMAT_VERSION, OPTIM, WEIGHTS, OptimizerSnapshot,
+                                  config_fingerprint, ensure_compatible, load_checkpoint,
+                                  save_checkpoint)
 from familykit.compression import apply_compression, build_plan, capture_activations
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
@@ -71,8 +79,10 @@ def test_manifest_structure(tmp_path):
     model = init_model(tiny_config(), seed=6)
     save_checkpoint(tmp_path / "c", model, seed=6)
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == FORMAT_VERSION == 2
     assert manifest["seed"] == 6
+    assert manifest["sha256"] == {
+        WEIGHTS: hashlib.sha256((tmp_path / "c" / WEIGHTS).read_bytes()).hexdigest()}
     entry = manifest["params"][0]
     assert set(entry) == {"name", "dtype", "shape", "byte_offset", "byte_length",
                           "trainable"}
@@ -86,11 +96,12 @@ def test_version_and_missing_param_errors(tmp_path):
     save_checkpoint(tmp_path / "c", model, seed=7)
     manifest_path = tmp_path / "c" / "manifest.json"
     doc = json.loads(manifest_path.read_text())
-    doc["format_version"] = 99
-    manifest_path.write_text(json.dumps(doc))
-    with pytest.raises(IntegrityError):
-        load_checkpoint(tmp_path / "c")
-    doc["format_version"] = 1
+    for version in (1, 99):  # version 1 manifests record no blob digests
+        doc["format_version"] = version
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError):
+            load_checkpoint(tmp_path / "c")
+    doc["format_version"] = FORMAT_VERSION
     doc["params"] = [e for e in doc["params"] if e["name"] != "embedding"]
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(IntegrityError):
@@ -207,36 +218,90 @@ def test_entries_checked_against_config(tmp_path, edit):
         load_checkpoint(tmp_path / "c")
 
 
-def _overwrite_first_value(blob, table, name, value):
-    offset = next(e["byte_offset"] for e in table if e["name"] == name)
-    raw = bytearray(blob.read_bytes())
-    raw[offset:offset + 4] = np.array([value], "<f4").tobytes()
-    blob.write_bytes(bytes(raw))
-
-
 @pytest.mark.parametrize("damage", ["truncated", "missing", "nan", "inf-moment"])
 def test_damaged_weights_rejected(tmp_path, damage):
+    # NaN and inf are saved as such, so their blobs match their digests and
+    # the finiteness check is what refuses them
     model = init_model(desk_config(), seed=10)
     optimizer = None
+    if damage == "nan":
+        get_weight_slot(model, "exits.0.blocks.0.w_up").data[0, 0] = np.nan
     if damage == "inf-moment":
         zeros = {n: np.zeros_like(p.data) for n, p in named_parameters(model)}
-        optimizer = OptimizerSnapshot(step=1, moments_m=zeros, moments_v=dict(zeros))
+        optimizer = OptimizerSnapshot(step=1, moments_m=zeros,
+                                      moments_v={n: z.copy() for n, z in zeros.items()})
+        optimizer.moments_v["exits.0.blocks.0.w_up"][0, 0] = np.inf
     save_checkpoint(tmp_path / "c", model, seed=10, optimizer=optimizer)
-    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
     blob = tmp_path / "c" / "weights.bin"
     if damage == "truncated":
         blob.write_bytes(blob.read_bytes()[:blob.stat().st_size // 2])
     elif damage == "missing":
         blob.unlink()
-    elif damage == "nan":
-        _overwrite_first_value(blob, manifest["params"], "exits.0.blocks.0.w_up", np.nan)
-    else:
-        _overwrite_first_value(tmp_path / "c" / "optim.bin", manifest["optimizer"]["entries"],
-                               "exits.0.blocks.0.w_up::v", np.inf)
     with pytest.raises(IntegrityError):
         load_checkpoint(tmp_path / "c")
     assert cli_main(["eval", "--checkpoint", str(tmp_path / "c"),
                      "--out", str(tmp_path / "out")]) == 5
+
+
+@pytest.fixture(scope="module")
+def saved_with_moments(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pristine") / "c"
+    _with_moments(path, seed=14)
+    return path
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from([WEIGHTS, OPTIM]), flip=st.booleans(),
+       where=st.floats(0.0, 1.0, exclude_max=True), xor=st.integers(1, 255))
+def test_any_truncation_or_byte_flip_exits_5(saved_with_moments, name, flip, where, xor):
+    # a flipped byte mostly leaves a finite float32, which only the blob's
+    # digest can tell from the saved one
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "c"
+        shutil.copytree(saved_with_moments, ckpt)
+        raw = bytearray((ckpt / name).read_bytes())
+        at = int(where * len(raw))
+        if flip:
+            raw[at] ^= xor
+        else:
+            del raw[at:]
+        (ckpt / name).write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError):
+            load_checkpoint(ckpt)
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--out", str(Path(tmp) / "out")]) == 5
+
+
+@pytest.mark.parametrize("cut", range(3))
+def test_interrupted_save_never_loads_a_mix(tmp_path, monkeypatch, cut):
+    # a save over an earlier checkpoint stops before its cut-th rename
+    # (weights, moments, manifest): every checkpoint file then holds the
+    # earlier save or the new one whole, and the directory loads as the
+    # earlier checkpoint or not at all
+    _with_moments(tmp_path / "new", seed=16)
+    _with_moments(tmp_path / "c", seed=15)
+    names = sorted(p.name for p in (tmp_path / "c").iterdir())
+    old, new = ({n: (tmp_path / d / n).read_bytes() for n in names} for d in ("c", "new"))
+    replace, renames = checkpoint.os.replace, []
+
+    def interrupted(src, dst):
+        if len(renames) == cut:
+            raise OSError("interrupted")
+        renames.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        _with_moments(tmp_path / "c", seed=16)
+    monkeypatch.undo()
+    renamed = [WEIGHTS, OPTIM][:cut]
+    assert [Path(p).name for p in renames] == renamed
+    for n in names:
+        assert (tmp_path / "c" / n).read_bytes() == (new if n in renamed else old)[n]
+    if cut == 0:
+        assert load_checkpoint(tmp_path / "c")[1] == 15
+    else:
+        with pytest.raises(IntegrityError):
+            load_checkpoint(tmp_path / "c")
 
 
 def _with_moments(path, seed=12):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import cast_model, tiny_config
+from conftest import cast_model, pad_keys, tiny_config
 
 from familykit import kernels, model as fk_model, tensor
 from familykit.errors import ConfigError, InputError, ShapeError
@@ -9,7 +9,7 @@ from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
                              forward_exits, init_model, named_parameters, param_count,
                              set_freeze)
-from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_pad_keys, k_rmsnorm,
+from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_rmsnorm,
                               k_rope, k_silu, rope_tables)
 
 
@@ -278,12 +278,12 @@ def test_gqa_with_equal_heads_is_plain_mha():
     v = k_matmul(a, blk.w_v.data).reshape(b, t, hq, dh).transpose(0, 2, 1, 3)
     cos, sin = rope_tables(np.arange(t), dh, cfg.rope_base)
     q = k_rope(np.ascontiguousarray(q), cos, sin)
-    k = k_pad_keys(k_rope(np.ascontiguousarray(k), cos, sin), cfg.ctx_len)
+    k = pad_keys(k_rope(np.ascontiguousarray(k), cos, sin), cfg.ctx_len)
     scores = k_matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2)))
     scores = scores * np.asarray(1.0 / np.sqrt(dh), np.float32)
     allowed = np.tril(np.ones((t, cfg.ctx_len), bool))
     probs = k_masked_softmax(scores, np.broadcast_to(allowed[None, None], scores.shape))
-    ctx = np.ascontiguousarray(k_matmul(probs, k_pad_keys(np.ascontiguousarray(v), cfg.ctx_len))
+    ctx = np.ascontiguousarray(k_matmul(probs, pad_keys(np.ascontiguousarray(v), cfg.ctx_len))
                                .transpose(0, 2, 1, 3)).reshape(b, t, cfg.hidden)
     h = h + k_matmul(ctx, blk.w_o.data)
     m = k_rmsnorm(h, blk.mlp_norm.data, cfg.rms_eps)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_grads, mean_all, sum_all
+from conftest import finite_difference_grads, mean_all, pad_keys, sum_all
 
 from familykit import kernels, tensor
 from familykit.errors import (DegenerateBatchError, GraphError, InputError, ShapeError)
 from familykit.tensor import (Tensor, add, attention, backward, causal_mask, cross_entropy,
-                              embedding, k_masked_softmax, k_matmul, k_pad_keys, k_softmax,
+                              embedding, k_masked_softmax, k_matmul, k_softmax,
                               matmul, masked_softmax, mul, reshape, rmsnorm, rope,
                               rope_tables, silu)
 
@@ -397,7 +397,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 def pad_rows(a: Tensor, length: int) -> Tensor:
     """Autodiff zero rows appended along axis -2 up to `length`."""
     t = a.data.shape[-2]
-    return tensor._make(k_pad_keys(a.data, length), (a,),
+    return tensor._make(pad_keys(a.data, length), (a,),
                         lambda g: tensor._accumulate(a, g[..., :t, :]))
 
 
