@@ -89,6 +89,8 @@ def cmd_train(args) -> int:
     cfg = args.cfg
     if cfg.train is None:
         raise ConfigError("train command needs a train section")
+    if args.stop_at is not None and args.stop_at < 0:
+        raise ConfigError(f"--stop-at must be >= 0, got {args.stop_at}")
     out = _out_dir(args)
     ids = _corpus_ids(args.paths.corpus, "paths.corpus")
     schedule = cfg.schedule_or_default()
@@ -175,9 +177,7 @@ def cmd_compress(args) -> int:
                    if args.paths.eval_corpus else ids)
     sampler = WindowSampler(ids, comp.calib_tokens, 1, cfg.seed)
     rng = SplitRng(cfg.seed).split("calibration")
-    n = min(comp.calib_sequences, sampler.n_windows)
-    picks = rng.permutation(sampler.n_windows)[:n]
-    calib_tokens = np.stack([sampler.window(int(w)) for w in picks])
+    calib_tokens = sampler.windows[rng.permutation(sampler.n_windows)[:comp.calib_sequences]]
 
     calib = capture_activations(model, calib_tokens, scope=scope)
     plan = build_plan(model, calib, comp.ratio)

@@ -2,7 +2,9 @@
 
 Every command takes `--config run.json` plus any number of
 `--section.key=value` overrides; unknown keys anywhere are an error so a
-typo can never silently fall back to a default.
+typo can never silently fall back to a default. The top-level `seed` is
+the run's one seed: the train and expansion sections take it, so a `seed`
+key in either is unknown.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def build_run_config(doc: dict, overrides: list[tuple[str, str]] = ()) -> RunCon
 
     train = None
     if "train" in doc:
-        train = from_fields(TrainConfig, {"seed": seed, **_section(doc, "train")}, "train")
+        train = from_fields(TrainConfig, doc["train"], "train", seed=seed)
 
     schedule = None
     if "lambda" in doc:
@@ -137,8 +139,7 @@ def build_run_config(doc: dict, overrides: list[tuple[str, str]] = ()) -> RunCon
 
     expansion = None
     if "expansion" in doc:
-        expansion = from_fields(ExpansionSpec, {"seed": seed, **_section(doc, "expansion")},
-                                "expansion")
+        expansion = from_fields(ExpansionSpec, doc["expansion"], "expansion", seed=seed)
 
     compression = None
     if "compression" in doc:

@@ -52,26 +52,24 @@ def load_corpus(path: str | Path) -> np.ndarray:
 
 class WindowSampler:
     """Non-overlapping seq_len windows, shuffled by a seeded permutation per
-    epoch. batch(step) is a pure function of (corpus, seq_len, batch, seed,
+    epoch. `windows` is one (n_windows, seq_len) view of the corpus ids.
+    batch_at(step) is a pure function of (corpus, seq_len, batch, seed,
     step), which is what makes training resumable bit-exactly."""
 
     def __init__(self, ids: np.ndarray, seq_len: int, batch: int, seed: int):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.seq_len = int(seq_len)
+        ids = np.asarray(ids, dtype=np.int64)
+        seq_len = int(seq_len)
+        self.n_windows = len(ids) // seq_len
         self.batch = int(batch)
         self.seed = int(seed)
-        self.n_windows = len(self.ids) // self.seq_len
         if self.n_windows < self.batch:
             raise DataError(
                 f"corpus has {self.n_windows} windows of {seq_len} tokens; "
                 f"need at least one batch of {batch}")
+        self.windows = ids[:self.n_windows * seq_len].reshape(self.n_windows, seq_len)
         self.batches_per_epoch = self.n_windows // self.batch
-
-    def window(self, w: int) -> np.ndarray:
-        return self.ids[w * self.seq_len:(w + 1) * self.seq_len]
 
     def batch_at(self, step: int) -> np.ndarray:
         epoch, idx = divmod(step, self.batches_per_epoch)
         perm = SplitRng(self.seed).split(f"data/epoch/{epoch}").permutation(self.n_windows)
-        rows = perm[idx * self.batch:(idx + 1) * self.batch]
-        return np.stack([self.window(int(w)) for w in rows])
+        return self.windows[perm[idx * self.batch:(idx + 1) * self.batch]]

@@ -74,6 +74,8 @@ class ExitPolicy:
             raise ConfigError(f"exit threshold must be finite, got {self.threshold}")
         if not (np.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         return exits
 
 
@@ -133,7 +135,7 @@ class GenState:
     `exit_depths[k] - 1`. `generate` advances blocks lazily, or under
     "always" backfills every pushed position through every block after each
     verified window, and rolls back the positions after a rejected draft.
-    `exec_count` counts the runs of each (block, position) pair and
+    `exec_count` counts the rows each block key has run and
     `discarded_rows` the rows that rollbacks threw away, so that every row
     ever run is either under a frontier or discarded.
     """
@@ -184,8 +186,7 @@ class GenState:
         attending over its cached keys and values (zero beyond the rows
         written so far); returns the updated rows."""
         stop = start + len(rows)
-        for p in range(start, stop):
-            self.exec_count[key + (p,)] = self.exec_count.get(key + (p,), 0) + 1
+        self.exec_count[key] = self.exec_count.get(key, 0) + stop - start
         keys, values = self.cache[key]
 
         def kv(k: np.ndarray, v: np.ndarray):

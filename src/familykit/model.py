@@ -319,17 +319,6 @@ def linear_slots(model: FamilialModel) -> dict[str, tuple[object, str]]:
             if attr in LINEAR_SLOTS}
 
 
-def get_weight_slot(model: FamilialModel, name: str) -> Weight:
-    """The plain or factored weight of linear slot `name` (KeyError if none)."""
-    owner, attr = linear_slots(model)[name]
-    return getattr(owner, attr)
-
-
-def set_weight_slot(model: FamilialModel, name: str, value: Weight) -> None:
-    owner, attr = linear_slots(model)[name]
-    setattr(owner, attr, value)
-
-
 def param_count(model: FamilialModel) -> dict:
     """Exact integer parameter counts by component."""
     def count(names_params):

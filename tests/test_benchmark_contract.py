@@ -40,6 +40,6 @@ def test_decode_state_exec_count_keys():
     keys = list(state_out[0].exec_count)
     assert {k[0] for k in keys} == {"backbone", "branch"}
     for key in keys:
-        assert len(key) == (3 if key[0] == "backbone" else 4), key
+        assert len(key) == (2 if key[0] == "backbone" else 3), key
         assert all(isinstance(i, int) for i in key[1:]), key
-    assert ("backbone", 0, 0) in keys and ("branch", 1, 0, 0) in keys
+    assert ("backbone", 0) in keys and ("branch", 1, 0) in keys

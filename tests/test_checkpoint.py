@@ -20,7 +20,7 @@ from familykit.compression import apply_compression, build_plan, capture_activat
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
 from familykit.model import (BLOCK_MATRICES, desk_config, extract_submodel, forward_branch,
-                             get_weight_slot, init_model, named_parameters)
+                             init_model, linear_slots, named_parameters)
 from familykit.training import (LambdaSchedule, TrainConfig, TrainState, run_training,
                                 write_metrics_csv)
 
@@ -175,7 +175,7 @@ def _rank2_plan(model, seed):
     rng = np.random.default_rng(seed)
     entries, factors = [], {}
     for name in names:
-        in_dim, out_dim = get_weight_slot(model, name).data.shape
+        in_dim, out_dim = getattr(*linear_slots(model)[name]).data.shape
         factors[name] = (rng.standard_normal((out_dim, 2)).astype(np.float32),
                          rng.standard_normal((2, in_dim)).astype(np.float32))
         entries.append(PlanEntry(name=name, l_min=0.0, score=1.0, ratio=0.5, rank=2,
@@ -225,7 +225,7 @@ def test_damaged_weights_rejected(tmp_path, damage):
     model = init_model(desk_config(), seed=10)
     optimizer = None
     if damage == "nan":
-        get_weight_slot(model, "exits.0.blocks.0.w_up").data[0, 0] = np.nan
+        getattr(*linear_slots(model)["exits.0.blocks.0.w_up"]).data[0, 0] = np.nan
     if damage == "inf-moment":
         zeros = {n: np.zeros_like(p.data) for n, p in named_parameters(model)}
         optimizer = OptimizerSnapshot(step=1, moments_m=zeros,

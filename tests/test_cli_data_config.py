@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_run_config, make_corpus
@@ -92,7 +94,8 @@ def _doc(corpus="/tmp/x"):
 
 def test_unknown_keys_rejected_everywhere():
     for path, key in [((), "typo"), (("model",), "dropout"), (("train",), "lr"),
-                      (("paths",), "output"), (("compression",), "rank")]:
+                      (("paths",), "output"), (("compression",), "rank"),
+                      (("train",), "seed"), (("expansion",), "seed")]:
         doc = _doc()
         node = doc
         for part in path:
@@ -184,6 +187,7 @@ def test_mistyped_run_config_exits_2(tmp_path, section, key, value):
     "model.rms_eps=NaN", "model.rope_base=Infinity", "model.rope_base=NaN",
     "model.hidden=-8", "lambda.initial=[NaN, 1.0]", "expansion.gaussian_std=NaN",
     "expansion.gaussian_std=-1", "seed=-5", "seed=18446744073709551616",
+    "train.seed=-1", "expansion.seed=-2", "stop-at=-1",
 ])
 def test_out_of_range_numbers_exit_2_before_writing(tmp_path, override):
     corpus = tmp_path / "corpus.txt"
@@ -256,6 +260,34 @@ def test_random_override_gives_config_error_or_finite_config(key, value):
     except ConfigError:
         return
     assert all(math.isfinite(float(x)) for x in _float_fields(cfg))
+
+
+@pytest.fixture(scope="module")
+def one_step_run(tmp_path_factory):
+    """A desk run config over a real corpus, and a directory for outputs."""
+    root = tmp_path_factory.mktemp("override-cli")
+    corpus = root / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=4))
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps(desk_run_config(corpus)))
+    return cfg, root
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OVERRIDE_KEYS, _OVERRIDE_VALUES)
+@example("train.seed", "-1")
+def test_random_override_through_cli_exits_with_a_documented_code(one_step_run, key, value):
+    # one training step at most; a rejected run leaves no --out behind
+    cfg, root = one_step_run
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        out = Path(tmp) / "o"
+        try:
+            code = cli_main(["train", "--config", str(cfg), "--stop-at", "1",
+                             "--out", str(out), f"--{key}={value}"])
+        except SystemExit as exc:  # argparse rejects the argument line itself
+            code = exc.code
+        assert code in (0, 2, 3, 4), (key, value, code)
+        assert code == 0 or not out.exists(), (key, value, code)
 
 
 def test_compress_target_branch_out_of_range_exits_2(tmp_path):
@@ -415,9 +447,11 @@ def test_cli_analyze_rejects_bad_branch_and_text(tmp_path, args):
     ("generate", "--tau", "nan"), ("generate", "--tau", "inf"), ("generate", "--max-new", "-1"),
     ("generate", "--temperature", "nan"), ("generate", "--temperature", "0"),
     ("generate", "--temperature", "-1"),
+    ("generate", "--seed", "-1"), ("generate", "--seed", "18446744073709551616"),
     ("eval", "--window", "0"), ("eval", "--window", "-1"),
 ], ids=["tau-nan", "tau-inf", "max-new-negative", "temperature-nan", "temperature-zero",
-        "temperature-negative", "window-zero", "window-negative"])
+        "temperature-negative", "seed-negative", "seed-2**64", "window-zero",
+        "window-negative"])
 def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(make_corpus(8 * 1024, seed=5))
@@ -425,13 +459,14 @@ def test_cli_generate_and_eval_reject_bad_numbers(tmp_path, command, flag, bad):
     argv = [command, "--checkpoint", str(tmp_path / "c")]
     argv += ["--prompt", "the fox", "--max-new", "2"] if command == "generate" else \
         ["--eval-corpus", str(corpus)]
-    if flag == "--temperature":
+    if flag in ("--temperature", "--seed"):
         argv.append("--sample")
     artifact = "trace.jsonl" if command == "generate" else "eval.csv"
     assert cli_main(argv + ["--out", str(tmp_path / "bad"), flag, bad]) == 2
     assert not (tmp_path / "bad").exists()  # a rejected command leaves no --out behind
     # the same command with a valid value runs, so the exit above is the flag's
-    good = {"--tau": "0.5", "--max-new": "0", "--window": "2", "--temperature": "0.9"}[flag]
+    good = {"--tau": "0.5", "--max-new": "0", "--window": "2", "--temperature": "0.9",
+            "--seed": "3"}[flag]
     assert cli_main(argv + ["--out", str(tmp_path / "good"), flag, good]) == 0
     assert (tmp_path / "good" / artifact).exists()
 

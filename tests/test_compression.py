@@ -14,7 +14,7 @@ from familykit.evaluation import branch_perplexity
 from familykit.expansion import ExpansionSpec, expand
 from familykit.linalg import cholesky_array
 from familykit.model import (BLOCK_MATRICES, Factored, desk_config, forward_branch,
-                             forward_exits, get_weight_slot, init_model, named_parameters,
+                             forward_exits, init_model, linear_slots, named_parameters,
                              param_count)
 
 
@@ -373,7 +373,7 @@ def test_apply_compression_swaps_only_planned_slots(expanded, plan_and_calib):
         else:
             assert np.array_equal(before[name], owner_param.data), name
     # factored forward shape: y = (x @ B) @ A
-    slot = get_weight_slot(compressed, plan.entries[0].name)
+    slot = getattr(*linear_slots(compressed)[plan.entries[0].name])
     assert isinstance(slot, Factored)
     # param_count reflects factored sizes
     delta = param_count(expanded)["total"] - param_count(compressed)["total"]
@@ -394,8 +394,9 @@ def test_full_rank_plan_keeps_logits_close(expanded, plan_and_calib):
     import dataclasses
     from familykit.compression import CompressionPlan, PlanEntry
     entries, factors = [], {}
+    slots = linear_slots(expanded)
     for name, gram in calib.grams.items():
-        w = get_weight_slot(expanded, name).data.T.astype(np.float64)
+        w = getattr(*slots[name]).data.T.astype(np.float64)
         rank = min(w.shape)
         a, b = decompose(w, ridged(gram)).factors(rank)
         factors[name] = (a.astype(np.float32), b.astype(np.float32))

@@ -30,9 +30,9 @@ from familykit import inference, kernels
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.expansion import ExpansionSpec, expand, verify_identity
 from familykit.inference import EMBEDDING, ExitPolicy, GenState, confidence, generate
-from familykit.model import (LINEAR_SLOTS, Factored, FamilyConfig, extract_submodel,
+from familykit.model import (Factored, FamilyConfig, extract_submodel,
                              forward_all_branches, forward_branch, forward_exits,
-                             get_weight_slot, init_model, set_weight_slot, weight_slots)
+                             init_model, linear_slots)
 from familykit.tensor import Tensor
 
 
@@ -55,12 +55,12 @@ def families(draw):
     for head in model.exits:
         head.lm_proj.data *= np.float32(gain)
     if draw(st.booleans()):
-        slots = [name for name, _, attr in weight_slots(model) if attr in LINEAR_SLOTS]
-        name = draw(st.sampled_from(slots))
-        w = get_weight_slot(model, name).data
+        slots = linear_slots(model)
+        owner, attr = slots[draw(st.sampled_from(list(slots)))]
+        w = getattr(owner, attr).data
         rank = draw(st.integers(1, min(w.shape)))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        set_weight_slot(model, name, Factored(
+        setattr(owner, attr, Factored(
             b=Tensor(rng.standard_normal((w.shape[0], rank)) * 0.1, requires_grad=True),
             a=Tensor(rng.standard_normal((rank, w.shape[1])) * 0.1, requires_grad=True)))
     tokens = np.asarray(draw(st.lists(st.integers(0, cfg.vocab - 1), min_size=2,

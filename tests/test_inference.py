@@ -84,6 +84,9 @@ def test_policy_validation(trained_small):
                                                       allowed_exits=(0,)), 4)
     with pytest.raises(ConfigError):
         generate(trained_small, _prompt(), ExitPolicy(threshold=0.5, mode="beam"), 4)
+    for seed in (-1, 2**64):  # checked in greedy mode too, which draws nothing
+        with pytest.raises(ConfigError):
+            generate(trained_small, _prompt(), ExitPolicy(threshold=0.5, seed=seed), 4)
     with pytest.raises(InputError):
         generate(trained_small, [], ExitPolicy(threshold=0.5), 4)
     with pytest.raises(InputError):
@@ -143,7 +146,7 @@ def assert_rows_accounted(state):
     discarded by a rollback; with nothing discarded each ran once."""
     assert sum(state.exec_count.values()) == sum(state.frontier.values()) + state.discarded_rows
     if state.discarded_rows == 0:
-        assert set(state.exec_count.values()) <= {1}
+        assert state.exec_count == state.frontier
 
 
 def test_no_position_layer_recompute_lazy_and_always(trained_small):
