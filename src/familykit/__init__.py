@@ -6,8 +6,7 @@ activation-whitened SVD, and decode with confidence-thresholded early
 exits. Pure numpy, deterministic end to end.
 """
 
-from .checkpoint import (OptimizerSnapshot, config_fingerprint, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint
 from .compression import (CalibrationSet, CompressionPlan, CompressionReport,
                           Decomposition, WhitenFactors, allocate_ratios,
                           apply_compression, build_plan, capture_activations,

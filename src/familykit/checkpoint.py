@@ -3,10 +3,11 @@
 `manifest.json` carries the model config, a parameter table (name, dtype,
 shape, byte offset/length, trainable flag), the seed, format_version and
 the sha256 of each blob it describes; `weights.bin` is the concatenation
-of all parameters as row-major little-endian binary32. Optimizer moments
-(when present) use the same entry scheme in `optim.bin` so training
-resumes bit-exactly. Saving is deterministic: save -> load -> save
-reproduces files byte for byte.
+of all parameters as row-major little-endian binary32. The optimizer
+state (when present) is a `(step, moments)` pair, `moments` mapping a
+parameter name to its AdamW `(m, v)` arrays; the moments use the same
+entry scheme in `optim.bin` so training resumes bit-exactly. Saving is
+deterministic: save -> load -> save reproduces files byte for byte.
 
 Loading checks each blob against its digest before parsing it, so a
 truncated or altered blob is an `IntegrityError` even where its values
@@ -23,7 +24,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,6 @@ FORMAT_VERSION = 2  # 2: the manifest records a sha256 per blob
 MANIFEST = "manifest.json"
 WEIGHTS = "weights.bin"
 OPTIM = "optim.bin"
-
-
-@dataclass
-class OptimizerSnapshot:
-    step: int
-    moments_m: dict[str, np.ndarray] = field(default_factory=dict)
-    moments_v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def config_fingerprint(config: FamilyConfig | dict) -> str:
@@ -86,7 +79,7 @@ def _write_replacing(path: Path, data: bytes) -> None:
 
 
 def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
-                    optimizer: OptimizerSnapshot | None = None) -> Path:
+                    optimizer: tuple[int, dict] | None = None) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     table, blob = _pack([(name, p.data, p.requires_grad) for name, p in named_parameters(model)])
@@ -98,12 +91,11 @@ def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
         "params": table,
     }
     if optimizer is not None:
-        moment_entries = []
-        for pname in optimizer.moments_m:
-            moment_entries.append((f"{pname}::m", optimizer.moments_m[pname], True))
-            moment_entries.append((f"{pname}::v", optimizer.moments_v[pname], True))
-        otable, blobs[OPTIM] = _pack(moment_entries)
-        manifest["optimizer"] = {"step": int(optimizer.step), "entries": otable}
+        step, moments = optimizer
+        otable, blobs[OPTIM] = _pack([(f"{pname}::{kind}", moment, True)
+                                      for pname, pair in moments.items()
+                                      for kind, moment in zip("mv", pair)])
+        manifest["optimizer"] = {"step": int(step), "entries": otable}
     manifest["sha256"] = {name: hashlib.sha256(data).hexdigest() for name, data in blobs.items()}
     for name, data in blobs.items():
         _write_replacing(path / name, data)
@@ -168,8 +160,9 @@ def _read_array(blob: bytes, entry: dict, shape: tuple[int, ...] | None = None) 
     return array
 
 
-def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnapshot | None]:
-    """Model, seed and optimizer state of a checkpoint directory.
+def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, tuple[int, dict] | None]:
+    """Model, seed and optimizer state `(step, moments)`, or None, of a
+    checkpoint directory.
 
     The model is built in the config's shape and each slot is filled from
     the manifest entry of the same name, so every entry is checked against
@@ -218,7 +211,7 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
     optimizer = None
     if "optimizer" in manifest:
         section = manifest["optimizer"]
-        optimizer = OptimizerSnapshot(step=_field(section, "step", int))
+        step = _field(section, "step", int)
         oblob = _read_blob(path / OPTIM, manifest)
         table = _field(section, "entries", list)
         moments = {_field(e, "name", str): e for e in table}
@@ -227,7 +220,7 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, OptimizerSnap
                 set(moments) != {f"{name}::{kind}" for name in owners for kind in "mv"}:
             raise IntegrityError("optimizer entries must be one <param>::m and <param>::v "
                                  "pair per parameter of the model")
-        for name in owners:
-            optimizer.moments_m[name] = _read_array(oblob, moments[f"{name}::m"], shapes[name])
-            optimizer.moments_v[name] = _read_array(oblob, moments[f"{name}::v"], shapes[name])
+        optimizer = (step, {name: tuple(_read_array(oblob, moments[f"{name}::{kind}"],
+                                                    shapes[name]) for kind in "mv")
+                            for name in owners})
     return model, int(manifest["seed"]), optimizer

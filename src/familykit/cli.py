@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (OptimizerSnapshot, ensure_compatible, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import ensure_compatible, load_checkpoint, save_checkpoint
 from .compression import (apply_compression, build_plan, capture_activations,
                           measure_compression)
 from .config import Paths, load_run_config, parse_overrides
@@ -34,7 +33,7 @@ from .expansion import (INIT_MODES, cosine_csv_rows, expand, grown_scope,
 from .inference import ExitPolicy, generate
 from .model import extract_submodel, init_model, param_count
 from .rng import SplitRng
-from .training import (LambdaSchedule, TrainState, run_training, write_metrics_csv)
+from .training import LambdaSchedule, run_training, write_metrics_csv
 
 log = logging.getLogger("familykit")
 
@@ -94,22 +93,17 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ids = _corpus_ids(args.paths.corpus, "paths.corpus")
     schedule = cfg.schedule_or_default()
-    state = None
+    resume = None
     if args.resume:
-        model, _, optim = load_checkpoint(args.resume)
+        model, _, resume = load_checkpoint(args.resume)
         ensure_compatible(cfg.model, model.config, f"checkpoint {args.resume}")
-        if optim is None:
+        if resume is None:
             raise IntegrityError(f"{args.resume} has no optimizer state to resume from")
-        state = TrainState(model=model, config=cfg.train, schedule=schedule,
-                           step=optim.step, moments_m=optim.moments_m,
-                           moments_v=optim.moments_v)
     else:
         model = init_model(cfg.model, cfg.seed)
-    state = run_training(model, ids, cfg.train, schedule, state=state,
-                         until=args.stop_at)
-    snapshot = OptimizerSnapshot(step=state.step, moments_m=state.moments_m,
-                                 moments_v=state.moments_v)
-    save_checkpoint(_artifact(out, "checkpoint"), model, cfg.seed, optimizer=snapshot)
+    state = run_training(model, ids, cfg.train, schedule, resume=resume, until=args.stop_at)
+    save_checkpoint(_artifact(out, "checkpoint"), model, cfg.seed,
+                    optimizer=(state.step, state.moments))
     write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
     final = state.metrics[-1] if state.metrics else None
     if final:
@@ -148,8 +142,7 @@ def cmd_expand(args) -> int:
         print(f"ablation traces written to {out / 'ablation.csv'}")
     state = states[spec.init_mode]
     save_checkpoint(_artifact(out, "checkpoint"), state.model, cfg.seed,
-                    optimizer=OptimizerSnapshot(step=state.step, moments_m=state.moments_m,
-                                                moments_v=state.moments_v))
+                    optimizer=(state.step, state.moments))
     write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
     _artifact(out, "expansion_report.json").write_text(
         json.dumps({"identity_deviation": deviation, **asdict(report)}, indent=2) + "\n",
@@ -175,7 +168,8 @@ def cmd_compress(args) -> int:
     ids = _corpus_ids(args.paths.corpus, "paths.corpus for calibration")
     measure_ids = (_corpus_ids(args.paths.eval_corpus, "paths.eval_corpus")
                    if args.paths.eval_corpus else ids)
-    sampler = WindowSampler(ids, comp.calib_tokens, 1, cfg.seed)
+    # one batch of calib_sequences windows: a corpus that holds fewer is a DataError
+    sampler = WindowSampler(ids, comp.calib_tokens, comp.calib_sequences, cfg.seed)
     rng = SplitRng(cfg.seed).split("calibration")
     calib_tokens = sampler.windows[rng.permutation(sampler.n_windows)[:comp.calib_sequences]]
 

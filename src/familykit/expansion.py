@@ -83,10 +83,10 @@ def grown_scope(cfg: FamilyConfig,
         raise ConfigError(f"target_branch {target} is not a branch of the model")
     bb = list(cfg.branch_blocks)
     bb[target] += n_new
+    grown = replace(cfg, branch_blocks=tuple(bb))  # checks the size bound before the names
     head = f"exits.{target}.lm_proj"
     prefixes = tuple(f"exits.{target}.blocks.{j}." for j in range(bb[target] - n_new, bb[target]))
-    return (replace(cfg, branch_blocks=tuple(bb)),
-            lambda name: name == head or name.startswith(prefixes + (head + ".",)))
+    return grown, lambda name: name == head or name.startswith(prefixes + (head + ".",))
 
 
 def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, ExpansionReport]:

@@ -39,11 +39,12 @@ class LambdaSchedule:
     total_steps: int
 
     def __post_init__(self):
-        final = self.initial if self.kind == "constant" else self.final
-        if not finite(*self.initial, *final):
+        if not finite(*self.initial, *self.final):
             raise ConfigError("branch weights must be finite")
         object.__setattr__(self, "initial", tuple(float(x) for x in self.initial))
-        object.__setattr__(self, "final", tuple(float(x) for x in final))
+        object.__setattr__(self, "final", tuple(float(x) for x in self.final))
+        if self.kind == "constant" and self.final != self.initial:
+            raise ConfigError("a constant schedule's final weights must equal its initial ones")
         if self.kind not in LAMBDA_KINDS:
             raise ConfigError(f"unknown lambda schedule kind {self.kind!r}")
         if len(self.initial) != len(self.final):
@@ -182,22 +183,8 @@ class TrainState:
     config: TrainConfig
     schedule: LambdaSchedule
     step: int = 0
-    moments_m: dict[str, np.ndarray] = field(default_factory=dict)
-    moments_v: dict[str, np.ndarray] = field(default_factory=dict)
+    moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     metrics: list[StepMetrics] = field(default_factory=list)
-
-    def sync_moments(self) -> list[tuple[str, Tensor]]:
-        """Moments exist exactly for trainable parameters, which are returned."""
-        trainable = [(n, p) for n, p in named_parameters(self.model) if p.requires_grad]
-        names = {n for n, _ in trainable}
-        for name in [n for n in self.moments_m if n not in names]:
-            del self.moments_m[name]
-            del self.moments_v[name]
-        for name, p in trainable:
-            if name not in self.moments_m:
-                self.moments_m[name] = np.zeros_like(p.data)
-                self.moments_v[name] = np.zeros_like(p.data)
-        return trainable
 
 
 def targets_for(batch: np.ndarray) -> np.ndarray:
@@ -212,7 +199,11 @@ def train_step(state: TrainState, batch: np.ndarray) -> StepMetrics:
     """One joint step: forward all branches, Eq-style weighted loss,
     backward, global-norm clip, AdamW on unfrozen parameters."""
     model, cfg = state.model, state.config
-    trainable = state.sync_moments()
+    # AdamW moments (m, v) exist exactly for the parameters with requires_grad
+    # set: a pair already held is kept, a new one starts at zeros
+    trainable = [(n, p) for n, p in named_parameters(model) if p.requires_grad]
+    state.moments = {n: state.moments.get(n) or (np.zeros_like(p.data), np.zeros_like(p.data))
+                     for n, p in trainable}
     lambdas = lambda_at(state.schedule, state.step)
 
     logits = forward_all_branches(model, batch)
@@ -244,8 +235,7 @@ def train_step(state: TrainState, batch: np.ndarray) -> StepMetrics:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if factor != 1.0:
                 g = g * np.float32(factor)
-            m = state.moments_m[name]
-            v = state.moments_v[name]
+            m, v = state.moments[name]
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
@@ -291,13 +281,15 @@ def write_metrics_csv(path, metrics: list[StepMetrics], arm: str | None = None,
 
 
 def run_training(model: FamilialModel, corpus_ids: np.ndarray, config: TrainConfig,
-                 schedule: LambdaSchedule, state: TrainState | None = None,
+                 schedule: LambdaSchedule, resume: tuple[int, dict] | None = None,
                  log_every: int = 100, until: int | None = None) -> TrainState:
     """Drive train_step from the deterministic window sampler until
     config.total_steps (or `until`, for interrupting a run that will be
-    resumed); resuming from a restored state continues the exact
-    uninterrupted trajectory."""
-    state = state or TrainState(model=model, config=config, schedule=schedule)
+    resumed); resuming from a checkpoint's `(step, moments)` continues the
+    exact uninterrupted trajectory."""
+    step, moments = resume or (0, {})
+    state = TrainState(model=model, config=config, schedule=schedule, step=step,
+                       moments=moments)
     sampler = WindowSampler(corpus_ids, config.seq_len, config.batch, config.seed)
     stop = config.total_steps if until is None else min(until, config.total_steps)
     while state.step < stop:

@@ -8,10 +8,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 from familykit.inference import ExitPolicy, generate
 from familykit.model import apply_linear, desk_config, init_model
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+TRACING = BENCHMARK / "tracing.py"
 
 
 def _tracing():
@@ -43,3 +46,24 @@ def test_decode_state_exec_count_keys():
         assert len(key) == (2 if key[0] == "backbone" else 3), key
         assert all(isinstance(i, int) for i in key[1:]), key
     assert ("backbone", 0) in keys and ("branch", 1, 0) in keys
+
+
+@pytest.fixture(scope="module")
+def bench_setup(tmp_path_factory):
+    """The benchmark's modules and its seed-1 set-up; they import each other
+    by bare name, so benchmark/ is on sys.path while they load."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCHMARK))
+        inputs, tracing, workloads = (importlib.import_module(name)
+                                      for name in ("inputs", "tracing", "workloads"))
+    return inputs.set_up(1, tmp_path_factory.mktemp("bench")), tracing, workloads
+
+
+@pytest.mark.parametrize("name", ["train", "grow", "serve"])
+def test_workload_round_passes_its_checks(bench_setup, name):
+    # one round of each workload, as the benchmark runs it: a broken call or a
+    # wrong output is a failed check here
+    setup, tracing, workloads = bench_setup
+    checks = workloads.Checks()
+    workloads.WORKLOADS[name](setup, 0.0, tracing.Recorder(), checks, min_rounds=1)
+    assert checks.attempted > 0 and checks.failed == 0, checks.notes

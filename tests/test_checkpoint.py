@@ -13,16 +13,14 @@ from conftest import cast_model, make_corpus, tiny_config
 
 from familykit.cli import main as cli_main
 from familykit import checkpoint
-from familykit.checkpoint import (FORMAT_VERSION, OPTIM, WEIGHTS, OptimizerSnapshot,
-                                  config_fingerprint, ensure_compatible, load_checkpoint,
-                                  save_checkpoint)
+from familykit.checkpoint import (FORMAT_VERSION, OPTIM, WEIGHTS, config_fingerprint,
+                                  ensure_compatible, load_checkpoint, save_checkpoint)
 from familykit.compression import apply_compression, build_plan, capture_activations
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
 from familykit.model import (BLOCK_MATRICES, desk_config, extract_submodel, forward_branch,
                              init_model, linear_slots, named_parameters)
-from familykit.training import (LambdaSchedule, TrainConfig, TrainState, run_training,
-                                write_metrics_csv)
+from familykit.training import LambdaSchedule, TrainConfig, run_training, write_metrics_csv
 
 
 def _files(path):
@@ -132,22 +130,15 @@ def test_resume_is_bit_identical(tmp_path):
     tc_full = TrainConfig(peak_lr=2e-3, warmup_steps=2, total_steps=12, batch=2,
                           seq_len=8, seed=8)
     full = run_training(full_model, corpus, tc_full, sched, log_every=0)
-    save_checkpoint(tmp_path / "full", full_model, 8,
-                    OptimizerSnapshot(full.step, full.moments_m, full.moments_v))
+    save_checkpoint(tmp_path / "full", full_model, 8, (full.step, full.moments))
 
     part_model = init_model(cfg, seed=8)
     half = run_training(part_model, corpus, tc_full, sched, log_every=0, until=6)
-    save_checkpoint(tmp_path / "half", part_model, 8,
-                    OptimizerSnapshot(half.step, half.moments_m, half.moments_v))
+    save_checkpoint(tmp_path / "half", part_model, 8, (half.step, half.moments))
 
     resumed_model, _, optim = load_checkpoint(tmp_path / "half")
-    resumed = TrainState(model=resumed_model, config=tc_full, schedule=sched,
-                         step=optim.step, moments_m=optim.moments_m,
-                         moments_v=optim.moments_v)
-    run_training(resumed_model, corpus, tc_full, sched, state=resumed, log_every=0)
-    save_checkpoint(tmp_path / "resumed", resumed_model, 8,
-                    OptimizerSnapshot(resumed.step, resumed.moments_m,
-                                      resumed.moments_v))
+    resumed = run_training(resumed_model, corpus, tc_full, sched, resume=optim, log_every=0)
+    save_checkpoint(tmp_path / "resumed", resumed_model, 8, (resumed.step, resumed.moments))
 
     write_metrics_csv(tmp_path / "full.csv", full.metrics)
     write_metrics_csv(tmp_path / "tail.csv", resumed.metrics)
@@ -227,10 +218,9 @@ def test_damaged_weights_rejected(tmp_path, damage):
     if damage == "nan":
         getattr(*linear_slots(model)["exits.0.blocks.0.w_up"]).data[0, 0] = np.nan
     if damage == "inf-moment":
-        zeros = {n: np.zeros_like(p.data) for n, p in named_parameters(model)}
-        optimizer = OptimizerSnapshot(step=1, moments_m=zeros,
-                                      moments_v={n: z.copy() for n, z in zeros.items()})
-        optimizer.moments_v["exits.0.blocks.0.w_up"][0, 0] = np.inf
+        optimizer = (1, {n: (np.zeros_like(p.data), np.zeros_like(p.data))
+                         for n, p in named_parameters(model)})
+        optimizer[1]["exits.0.blocks.0.w_up"][1][0, 0] = np.inf
     save_checkpoint(tmp_path / "c", model, seed=10, optimizer=optimizer)
     blob = tmp_path / "c" / "weights.bin"
     if damage == "truncated":
@@ -309,9 +299,9 @@ def _with_moments(path, seed=12):
     its manifest."""
     model = init_model(desk_config(), seed=seed)
     rng = np.random.default_rng(seed)
-    moments = [{n: rng.standard_normal(p.shape).astype(np.float32)
-                for n, p in named_parameters(model)} for _ in range(2)]
-    save_checkpoint(path, model, seed=seed, optimizer=OptimizerSnapshot(3, *moments))
+    moments = {n: tuple(rng.standard_normal(p.shape).astype(np.float32) for _ in "mv")
+               for n, p in named_parameters(model)}
+    save_checkpoint(path, model, seed=seed, optimizer=(3, moments))
     return json.loads((path / "manifest.json").read_text())
 
 
@@ -353,13 +343,11 @@ def test_parameters_without_moments_load(tmp_path):
     entries = doc["optimizer"]["entries"]
     entries[:] = [e for e in entries if not e["name"].startswith("embedding::")]
     (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
-    _, _, optim = load_checkpoint(tmp_path / "c")
-    assert "embedding" not in optim.moments_m and "embedding" not in optim.moments_v
-    assert len(optim.moments_m) == len(optim.moments_v) == len(entries) // 2
+    _, _, (_, moments) = load_checkpoint(tmp_path / "c")
+    assert "embedding" not in moments and len(moments) == len(entries) // 2
     doc["optimizer"]["entries"] = []
     (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
-    _, _, optim = load_checkpoint(tmp_path / "c")
-    assert optim.step == 3 and optim.moments_m == optim.moments_v == {}
+    assert load_checkpoint(tmp_path / "c")[2] == (3, {})
 
 
 @pytest.mark.parametrize("damage", [

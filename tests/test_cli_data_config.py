@@ -298,6 +298,33 @@ def test_compress_target_branch_out_of_range_exits_2(tmp_path):
                      "--out", str(tmp_path / "o"), "--expansion.target_branch=5"]) == 2
 
 
+def test_compress_huge_n_new_blocks_exits_2(tmp_path, capsys):
+    # the grown config is checked against the size bound before a name is
+    # built for each new block
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_doc()))
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=1), seed=1)
+    assert cli_main(["compress", "--config", str(cfg), "--checkpoint", str(tmp_path / "c"),
+                     "--out", str(tmp_path / "o"),
+                     "--expansion.n_new_blocks=100000000000000000000"]) == 2
+    assert "exceed the bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("final", ["[0.1, 1.0]", "[NaN, 1.0]"], ids=["other", "nan"])
+def test_constant_lambda_with_another_final_exits_2(tmp_path, final):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(8 * 1024, seed=4))
+    doc = desk_run_config(corpus)
+    doc["train"].update(total_steps=1, warmup_steps=0)
+    doc["lambda"] = {"kind": "constant", "initial": [0.5, 1.0]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out),
+                     f"--lambda.final={final}"]) == 2
+    assert not out.exists()
+
+
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "missing.json")
@@ -617,6 +644,17 @@ def test_cli_resume_reproduces_uninterrupted_run(mini_pipeline, tmp_path):
     for name in ("manifest.json", "weights.bin", "optim.bin"):
         assert (full / "checkpoint" / name).read_bytes() == \
             (done / "checkpoint" / name).read_bytes(), name
+
+
+def test_cli_compress_needs_calib_sequences_windows(mini_pipeline, tmp_path):
+    # 24 KiB in 32-token windows is 768 windows; asking for more is a data
+    # error before any artifact is written, not a smaller calibration set
+    root, cfg = mini_pipeline["root"], mini_pipeline["cfg"]
+    out = tmp_path / "o"
+    assert cli_main(["compress", "--config", str(cfg), "--checkpoint",
+                     str(root / "x" / "checkpoint"), "--out", str(out),
+                     "--compression.calib_sequences=769"]) == 3
+    assert not out.exists()
 
 
 def test_cli_resume_requires_optimizer_state(mini_pipeline, tmp_path):

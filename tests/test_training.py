@@ -16,7 +16,7 @@ import familykit
 from familykit import tensor
 from familykit.data import WindowSampler
 from familykit.errors import ConfigError, DivergenceError
-from familykit.model import (desk_config, forward_all_branches, init_model,
+from familykit.model import (copy_model, desk_config, forward_all_branches, init_model,
                              named_parameters, set_freeze)
 from familykit.tensor import Tensor, backward, cross_entropy
 from familykit.training import (IGNORE_INDEX, LambdaSchedule, TrainConfig, TrainState,
@@ -90,8 +90,14 @@ def test_lambda_schedule_validation():
         LambdaSchedule("linear_decay", (0.5, 1.0), (0.9, 1.0), 10)  # aux increases
     with pytest.raises(ConfigError):
         LambdaSchedule("exp", (1.0,), (1.0,), 10)
-    with pytest.raises(ConfigError):
-        LambdaSchedule("constant", (1.0, -0.1, 1.0)[::-1], (1.0,) * 3, 10)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        LambdaSchedule("constant", (1.0, -0.1, 1.0), (1.0, -0.1, 1.0), 10)
+    # a constant schedule's final weights are read, not replaced by the initial ones
+    with pytest.raises(ConfigError, match="constant"):
+        LambdaSchedule("constant", (0.5, 1.0), (0.1, 1.0), 10)
+    with pytest.raises(ConfigError, match="finite"):
+        LambdaSchedule("constant", (0.5, 1.0), (math.nan, 1.0), 10)
+    assert LambdaSchedule("constant", (0.5, 1.0), (0.5, 1.0), 10).final == (0.5, 1.0)
 
 
 def test_lambda_purity():
@@ -196,7 +202,7 @@ def test_frozen_parameters_bit_identical_across_steps():
         if state.model.freeze_mask[n]:
             assert np.array_equal(frozen_before[n], p.data)
         # moments exist exactly for trainable parameters
-        assert (n in state.moments_m) == (not state.model.freeze_mask[n])
+        assert (n in state.moments) == (not state.model.freeze_mask[n])
 
 
 def test_cleared_requires_grad_freezes_without_set_freeze():
@@ -209,8 +215,48 @@ def test_cleared_requires_grad_freezes_without_set_freeze():
     for step in range(3):
         train_step(state, _batch(step))
     assert np.array_equal(before, w_q.data)
-    assert "backbone.0.w_q" not in state.moments_m
+    assert "backbone.0.w_q" not in state.moments
     assert state.model.freeze_mask["backbone.0.w_q"]
+
+
+def test_freezing_mid_run_drops_moments_and_unfreezing_restarts_them():
+    # the other freezing tests freeze before the first step; here a parameter
+    # trains for 2 steps, is frozen for 2, then trains again
+    state = _small_state(seed=5)
+    w_q = state.model.backbone[0].w_q
+    for step in range(2):
+        train_step(state, _batch(step))
+    old = tuple(a.copy() for a in state.moments["backbone.0.w_q"])
+    assert all(np.any(a != 0) for a in old)
+    kept = state.moments["backbone.0.w_k"]
+    w_q.requires_grad = False
+    before = w_q.data.copy()
+    for step in range(2, 4):
+        train_step(state, _batch(step))
+    assert "backbone.0.w_q" not in state.moments
+    assert np.array_equal(before, w_q.data)
+    assert all(a is b for a, b in zip(state.moments["backbone.0.w_k"], kept))
+
+    w_q.requires_grad = True
+
+    def step_with_w_q_moments(pair):
+        twin = TrainState(model=copy_model(state.model), config=state.config,
+                          schedule=state.schedule, step=state.step,
+                          moments={n: tuple(a.copy() for a in mv)
+                                   for n, mv in state.moments.items()})
+        twin.moments["backbone.0.w_q"] = tuple(a.copy() for a in pair)
+        train_step(twin, _batch(4))
+        return twin
+
+    zeros = step_with_w_q_moments((np.zeros_like(before),) * 2)
+    stale = step_with_w_q_moments(old)
+    train_step(state, _batch(4))
+    # the unfrozen parameter steps exactly as from zero moments, not its old ones
+    for (n, p), (_, q) in zip(named_parameters(state.model), named_parameters(zeros.model)):
+        assert np.array_equal(p.data, q.data), n
+    for n, (m, v) in state.moments.items():
+        assert np.array_equal(m, zeros.moments[n][0]) and np.array_equal(v, zeros.moments[n][1])
+    assert not np.array_equal(w_q.data, stale.model.backbone[0].w_q.data)
 
 
 def test_divergence_aborts():
@@ -228,9 +274,7 @@ def test_k1_reduces_to_plain_causal_lm_with_adamw_oracle():
     ours = init_model(cfg, seed=5)
     tc = TrainConfig(peak_lr=2e-3, warmup_steps=2, total_steps=8, batch=2,
                      seq_len=8, seed=5)
-    state = TrainState(model=ours, config=tc,
-                       schedule=LambdaSchedule(kind="constant", initial=(1.0,),
-                                               final=(1.0,), total_steps=8))
+    schedule = LambdaSchedule(kind="constant", initial=(1.0,), final=(1.0,), total_steps=8)
     corpus = np.frombuffer(make_corpus(2048, seed=5), np.uint8).astype(np.int64) % 31
     sampler = WindowSampler(corpus, tc.seq_len, tc.batch, tc.seed)
 
@@ -263,7 +307,7 @@ def test_k1_reduces_to_plain_causal_lm_with_adamw_oracle():
             p.data -= np.float32(lr) * upd
             p.grad = None
 
-    run_training(ours, corpus, tc, state.schedule, state=state, log_every=0)
+    state = run_training(ours, corpus, tc, schedule, log_every=0)
     our_losses = [m.branch_losses[0] for m in state.metrics]
     assert our_losses == ref_losses
     for n, p in named_parameters(ours):
