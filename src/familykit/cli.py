@@ -95,10 +95,16 @@ def cmd_train(args) -> int:
     schedule = cfg.schedule_or_default()
     resume = None
     if args.resume:
-        model, _, resume = load_checkpoint(args.resume)
+        model, seed, resume = load_checkpoint(args.resume)
         ensure_compatible(cfg.model, model.config, f"checkpoint {args.resume}")
         if resume is None:
             raise IntegrityError(f"{args.resume} has no optimizer state to resume from")
+        # another seed samples other windows: the result would be neither run
+        if seed != cfg.seed:
+            raise ConfigError(f"{args.resume} was trained under seed {seed}, not {cfg.seed}")
+        if resume[0] > cfg.train.total_steps:
+            raise ConfigError(f"{args.resume} is at step {resume[0]}, past train.total_steps "
+                              f"{cfg.train.total_steps}")
     else:
         model = init_model(cfg.model, cfg.seed)
     state = run_training(model, ids, cfg.train, schedule, resume=resume, until=args.stop_at)

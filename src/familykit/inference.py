@@ -129,13 +129,17 @@ class GenState:
 
     Every block that has run keeps its frontier and, written and zeroed on
     the position axis, the rows it produced (ctx_len, hidden) and its keys
-    and values, token-major (1, ctx_len, kv_heads, head_dim). Backbone
-    layer 0 reads the embedded rows (key `EMBEDDING`), each later layer the
-    one before it, and branch k's first block backbone layer
-    `exit_depths[k] - 1`. `generate` advances blocks lazily, or under
-    "always" backfills every pushed position through every block after each
-    verified window, and rolls back the positions after a rejected draft.
-    `exec_count` counts the rows each block key has run and
+    and values. Keys are allocated (1, kv_heads, head_dim, ctx_len) and
+    values (1, kv_heads, ctx_len, head_dim), the layouts attention
+    multiplies them in, and `cache` holds token-major (1, ctx_len,
+    kv_heads, head_dim) views of both: writes and rollbacks go through the
+    views, and attention, handed them, finds its layouts already there and
+    copies nothing. Backbone layer 0 reads the embedded rows (key
+    `EMBEDDING`), each later layer the one before it, and branch k's first
+    block backbone layer `exit_depths[k] - 1`. `generate` advances blocks
+    lazily, or under "always" backfills every pushed position through every
+    block after each verified window, and rolls back the positions after a
+    rejected draft. `exec_count` counts the rows each block key has run and
     `discarded_rows` the rows that rollbacks threw away, so that every row
     ever run is either under a frontier or discarded.
     """
@@ -148,9 +152,11 @@ class GenState:
         self.rows: dict[tuple, np.ndarray] = defaultdict(
             lambda: np.zeros((cfg.ctx_len, cfg.hidden), np.float32))
         self.frontier: dict[tuple, int] = {}  # block key -> positions run
-        kv_shape = (1, cfg.ctx_len, cfg.kv_heads, cfg.head_dim)
         self.cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = defaultdict(  # key -> (K, V)
-            lambda: (np.zeros(kv_shape, np.float32), np.zeros(kv_shape, np.float32)))
+            lambda: (np.zeros((1, cfg.kv_heads, cfg.head_dim, cfg.ctx_len),
+                              np.float32).transpose(0, 3, 1, 2),
+                     np.zeros((1, cfg.kv_heads, cfg.ctx_len, cfg.head_dim),
+                              np.float32).transpose(0, 2, 1, 3)))
         self.cos, self.sin = rope_tables(np.arange(cfg.ctx_len), cfg.head_dim, cfg.rope_base)
         self.mask = causal_mask(cfg.ctx_len, cfg.ctx_len)
         self.exec_count: dict[tuple, int] = {}

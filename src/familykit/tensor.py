@@ -11,17 +11,17 @@ through `familykit.kernels`, whose names match the ops here, so the model
 writes its math once over either module (see `model.forward_exits`).
 
 Every forward matrix product goes through `k_matmul`, which zero-pads the
-rows to a multiple of `ROW_TILE` and runs `np.matmul` (BLAS) on tiles of
-`ROW_TILE` rows, so every BLAS call of a product has one shape however many
-rows the caller has. The kernel that computes a product depends on the call
-shape (numpy sends one row to gemv, and a BLAS build may switch kernels by
-size), but at one shape it computes a row the same way wherever it sits.
-With attention's key axis fixed at `ctx_len` as well (see
-`model.block_forward`), a row's result never depends on how many rows are
-computed with it. That row-stability is what makes incremental decoding
-bit-equal to full-prefix forward passes. Gradients are never compared
-against a cached forward, so `matmul`'s backward calls `np.matmul` on the
-operands as they are.
+rows to a multiple of `ROW_TILE` and runs BLAS (`np.matmul`, or `np.dot` on
+one 2-d tile) on tiles of `ROW_TILE` rows, so every BLAS call of a product
+has one shape however many rows the caller has. The kernel that computes a
+product depends on the call shape (numpy sends one row to gemv, and a BLAS
+build may switch kernels by size), but at one shape it computes a row the
+same way wherever it sits. With attention's key axis fixed at `ctx_len` as
+well (see `model.block_forward`), a row's result never depends on how many
+rows are computed with it. That row-stability is what makes incremental
+decoding bit-equal to full-prefix forward passes. Gradients are never
+compared against a cached forward, so `matmul`'s backward calls `np.matmul`
+on the operands as they are.
 
 Attention is one op, `attention` over `k_attention`, on token-major q, k
 and v; only it knows the head-major layout. Its scores are one buffer,
@@ -87,18 +87,24 @@ def k_matmul(a: Array, b: Array) -> Array:
     fixed-shape BLAS call per `ROW_TILE` rows of `a` (its leading axes
     folded, or per (B, H) matrix of a 4-d operand).
 
-    A row count that is a multiple of `ROW_TILE` goes to `np.matmul` as it
-    is, copied only if it is strided. Any other is copied once into a fresh
-    zero buffer of whole tiles, and the product's padding rows are sliced
-    off after (a strided view for a 4-d operand). Every operand reaches
-    `np.matmul` contiguous, because numpy may compute a strided one by
-    another loop than BLAS (numpy 2.4 does for a one-column product), which
-    rounds a row differently from the same row in a BLAS call."""
+    A row count that is a multiple of `ROW_TILE` is used as it is, copied
+    only if it is strided. Any other is copied once into a fresh zero
+    buffer of whole tiles, and the product's padding rows are sliced off
+    after (a strided view for a 4-d operand). Only a call of more than one
+    tile gets a tile axis (and `b` an axis to broadcast against it). One
+    tile, as a decode step of one position has, is multiplied as the 2-d or
+    4-d array it is: the same single BLAS call at the same shape, without
+    numpy's set-up of a loop over tiles. A 2-d tile goes through `np.dot`,
+    which hands two contiguous matrices to the same BLAS routine as
+    `np.matmul` (gemm, or gemv for one column) without a ufunc's per-call
+    set-up. Every operand reaches BLAS contiguous, because numpy may
+    compute a strided one by another loop (numpy 2.4 does for a one-column
+    product), which rounds a row differently from the same row in a BLAS
+    call."""
     if a.ndim >= 2 and b.ndim == 2:
         rows, lead = a.reshape(-1, a.shape[-1]), ()
     elif a.ndim == 4 and b.ndim == 4:
-        # each (B, H) matrix of b against each of its tiles
-        rows, lead, b = a, a.shape[:2], b[:, :, None]
+        rows, lead = a, a.shape[:2]
     else:
         raise ShapeError(f"unsupported matmul arity: {a.shape} @ {b.shape}")
     n, width = rows.shape[-2:]
@@ -111,9 +117,13 @@ def k_matmul(a: Array, b: Array) -> Array:
             tiled[:n] = rows
     else:
         tiled = np.ascontiguousarray(rows)
-    out = np.matmul(tiled.reshape(lead + (-1, ROW_TILE, width)), np.ascontiguousarray(b))
+    b = np.ascontiguousarray(b)
+    if n <= ROW_TILE:
+        out = np.matmul(tiled, b) if lead else np.dot(tiled, b)
+    else:  # one call per tile: each (B, H) matrix of b against each of its tiles
+        out = np.matmul(tiled.reshape(lead + (-1, ROW_TILE, width)), b[:, :, None] if lead else b)
+        out = out.reshape(lead + (n + pad, -1)) if pad else out
     if pad:
-        out = out.reshape(lead + (n + pad, -1))
         out = out[:, :, :n] if lead else out[:n]
     return out.reshape(a.shape[:-1] + (b.shape[-1],))
 
@@ -205,10 +215,11 @@ def _attention(q: Array, k: Array, v: Array, allowed: Array,
     """`k_attention`, and the head-major probabilities, queries, transposed
     keys and values that its gradient reuses.
 
-    Keys and values take one copy each into their layouts, (B, Hkv, Dh, L)
-    and (B, Hkv, L, Dh): a plain transposed copy when they span the mask's
-    L columns (every decode call passes its whole cache), else a copy into
-    a fresh zero buffer of L columns."""
+    Keys and values are laid out (B, Hkv, Dh, L) and (B, Hkv, L, Dh). When
+    they span the mask's L columns they are transposed, copied only if that
+    layout is not already theirs (decode's cache is kept in it, see
+    `inference.GenState`); shorter ones are copied into a fresh zero buffer
+    of L columns."""
     b, t, hq, _ = q.shape
     hkv, n, n_keys = k.shape[2], k.shape[1], allowed.shape[1]
     if n > n_keys:

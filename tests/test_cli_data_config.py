@@ -646,6 +646,21 @@ def test_cli_resume_reproduces_uninterrupted_run(mini_pipeline, tmp_path):
             (done / "checkpoint" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("override", ["seed=7", "train.total_steps=39"])
+def test_cli_resume_of_another_run_exits_2(mini_pipeline, tmp_path, capsys, override):
+    # the step-40 checkpoint of seed 42, resumed under seed 7 or with fewer
+    # total steps, would continue neither run; nothing is written
+    root, cfg = mini_pipeline["root"], mini_pipeline["cfg"]
+    assert json.loads(cfg.read_text())["seed"] == 42
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out), f"--{override}",
+                     "--resume", str(root / "t" / "checkpoint")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_compress_needs_calib_sequences_windows(mini_pipeline, tmp_path):
     # 24 KiB in 32-token windows is 768 windows; asking for more is a data
     # error before any artifact is written, not a smaller calibration set

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from familykit import inference
+from familykit import inference, tensor
 from familykit.data import BOS
 from familykit.errors import ConfigError, InputError
 from familykit.data import EOS
@@ -139,6 +139,26 @@ def test_kv_reuse_matches_full_prefix_recompute(trained_small):
     inc = state_out[0].exit_logits(1, [len(context) - 1])[0]
     assert np.max(np.abs(full - inc)) <= 1e-5  # holds exactly, bound per contract
     assert np.array_equal(full, inc)
+
+
+def test_decode_attention_reads_its_cache_without_a_copy(trained_small, monkeypatch):
+    # the cache is kept in attention's layouts, so the keys and values that
+    # a decode block multiplies, over the prompt and then over one new row,
+    # are the cache's own memory
+    laid_out = []
+    real = tensor._attention
+    monkeypatch.setattr(tensor, "_attention",
+                        lambda *args: laid_out.append(real(*args)) or laid_out[-1])
+    state = GenState(trained_small)
+    for t in _prompt(3):
+        state.push_token(t)
+    state.advance_backbone(state.n_positions - 1, 1)
+    state.push_token(7)
+    state.advance_backbone(state.n_positions - 1, 1)
+    keys, values = state.cache[("backbone", 0)]
+    assert len(laid_out) == 2
+    for _, _, _, kt, vh in laid_out:
+        assert np.shares_memory(kt, keys) and np.shares_memory(vh, values)
 
 
 def assert_rows_accounted(state):

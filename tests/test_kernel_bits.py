@@ -257,6 +257,26 @@ def test_matmul_matches_the_padded_product_at_every_row_count(arity, dtype):
         assert same_bits(a, before[0]) and same_bits(b, before[1])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arity", ["nd x 2d", "4d x 4d"])
+def test_one_tile_rows_equal_their_rows_in_a_call_of_three_tiles(arity, dtype):
+    # a call of at most one tile goes to BLAS without a tile axis; each of
+    # its 1 to 8 rows still has the bits of the same row among 3 tiles,
+    # taken from the start, the middle and the end of the longer call
+    rng = np.random.default_rng(23)
+    tile = tensor.ROW_TILE
+    for n, m in itertools.product(range(1, tile + 1), (1, 9)):
+        a_shape, b_shape = ((1, 3 * tile, 12), (12, m)) if arity == "nd x 2d" else \
+            ((2, 3, 3 * tile, 6), (2, 3, 6, m))
+        whole = with_specials(rng, a_shape, dtype, 0.05)
+        b = with_specials(rng, b_shape, dtype, 0.05)
+        with np.errstate(over="ignore", invalid="ignore"):
+            among = k_matmul(whole, b)
+            for start in (0, tile + 3, 3 * tile - n):
+                alone = k_matmul(np.ascontiguousarray(whole[..., start:start + n, :]), b)
+                assert same_bits(alone, among[..., start:start + n, :]), (n, m, start)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(b=st.integers(1, 2), hkv=st.integers(1, 2), rep=st.integers(1, 3),
        dh=st.sampled_from([2, 8]), width=st.sampled_from([8, 16, 64]),
