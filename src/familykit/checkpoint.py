@@ -11,11 +11,11 @@ deterministic: save -> load -> save reproduces files byte for byte.
 
 Loading checks each blob against its digest before parsing it, so a
 truncated or altered blob is an `IntegrityError` even where its values
-stay finite. Each file is written under a temporary name and renamed into
-place, the blobs first and the manifest last: a save cut short leaves no
-partial file under a checkpoint name, and a manifest never describes
-blobs that were not written whole (an earlier manifest left in place
-fails its digest check against the new blobs).
+stay finite. Each file is written whole by `write_file`, the blobs first
+and the manifest last: a save cut short leaves no partial file under a
+checkpoint name, and a manifest never describes blobs that were not
+written whole (an earlier manifest left in place fails its digest check
+against the new blobs).
 """
 
 from __future__ import annotations
@@ -71,17 +71,27 @@ def _pack(entries: list[tuple[str, np.ndarray, bool]]):
     return table, b"".join(blobs)
 
 
-def _write_replacing(path: Path, data: bytes) -> None:
-    """Write `data` under a temporary name beside `path`, then rename it into place."""
+def write_file(path: str | Path, data: str | bytes) -> None:
+    """Write `data` (text as UTF-8, bytes as given) to `path`, creating its
+    directory: under `.{name}.tmp` beside it, flushed and fsynced, then
+    renamed into place. `path` holds its earlier contents or `data` whole,
+    also after a power loss, and a write that raises removes its temporary file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
                     optimizer: tuple[int, dict] | None = None) -> Path:
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     table, blob = _pack([(name, p.data, p.requires_grad) for name, p in named_parameters(model)])
     blobs = {WEIGHTS: blob}
     manifest = {
@@ -98,8 +108,8 @@ def save_checkpoint(path: str | Path, model: FamilialModel, seed: int,
         manifest["optimizer"] = {"step": int(step), "entries": otable}
     manifest["sha256"] = {name: hashlib.sha256(data).hexdigest() for name, data in blobs.items()}
     for name, data in blobs.items():
-        _write_replacing(path / name, data)
-    _write_replacing(path / MANIFEST, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+        write_file(path / name, data)
+    write_file(path / MANIFEST, json.dumps(manifest, indent=2) + "\n")
     return path
 
 

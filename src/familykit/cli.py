@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import ensure_compatible, load_checkpoint, save_checkpoint
+from .checkpoint import ensure_compatible, load_checkpoint, save_checkpoint, write_file
 from .compression import (apply_compression, build_plan, capture_activations,
                           measure_compression)
 from .config import Paths, load_run_config, parse_overrides
@@ -33,7 +33,7 @@ from .expansion import (INIT_MODES, cosine_csv_rows, expand, grown_scope,
 from .inference import ExitPolicy, generate
 from .model import extract_submodel, init_model, param_count
 from .rng import SplitRng
-from .training import LambdaSchedule, run_training, write_metrics_csv
+from .training import LambdaSchedule, metrics_csv, run_training
 
 log = logging.getLogger("familykit")
 
@@ -55,12 +55,6 @@ def _out_dir(args) -> Path:
     if not args.paths.out:
         raise ConfigError("an output directory is required (--out or paths.out)")
     return Path(args.paths.out)
-
-
-def _artifact(out: Path, name: str) -> Path:
-    """The path of artifact `name`, creating the output directory first."""
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
 
 
 def _corpus_ids(path: str | None, source: str) -> np.ndarray:
@@ -108,9 +102,8 @@ def cmd_train(args) -> int:
     else:
         model = init_model(cfg.model, cfg.seed)
     state = run_training(model, ids, cfg.train, schedule, resume=resume, until=args.stop_at)
-    save_checkpoint(_artifact(out, "checkpoint"), model, cfg.seed,
-                    optimizer=(state.step, state.moments))
-    write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
+    save_checkpoint(out / "checkpoint", model, cfg.seed, optimizer=(state.step, state.moments))
+    write_file(out / "metrics.csv", metrics_csv(state.metrics))
     final = state.metrics[-1] if state.metrics else None
     if final:
         print(f"trained {state.step} steps; final losses "
@@ -142,17 +135,15 @@ def cmd_expand(args) -> int:
                  else expand(model, replace(spec, init_mode=arm))[0])
         states[arm] = run_training(grown, ids, cfg.train, schedule)
     if args.ablate:
-        for i, (arm, arm_state) in enumerate(states.items()):
-            write_metrics_csv(_artifact(out, "ablation.csv"), arm_state.metrics, arm=arm,
-                              append=i > 0)
+        write_file(out / "ablation.csv",
+                   metrics_csv({arm: arm_state.metrics for arm, arm_state in states.items()}))
         print(f"ablation traces written to {out / 'ablation.csv'}")
     state = states[spec.init_mode]
-    save_checkpoint(_artifact(out, "checkpoint"), state.model, cfg.seed,
+    save_checkpoint(out / "checkpoint", state.model, cfg.seed,
                     optimizer=(state.step, state.moments))
-    write_metrics_csv(_artifact(out, "metrics.csv"), state.metrics)
-    _artifact(out, "expansion_report.json").write_text(
-        json.dumps({"identity_deviation": deviation, **asdict(report)}, indent=2) + "\n",
-        encoding="utf-8")
+    write_file(out / "metrics.csv", metrics_csv(state.metrics))
+    write_file(out / "expansion_report.json",
+               json.dumps({"identity_deviation": deviation, **asdict(report)}, indent=2) + "\n")
     print(f"added {report.added_params} parameters; trainable {len(report.trainable)} tensors")
     print(f"checkpoint: {out / 'checkpoint'}")
     return EXIT_OK
@@ -182,12 +173,11 @@ def cmd_compress(args) -> int:
     calib = capture_activations(model, calib_tokens, scope=scope)
     plan = build_plan(model, calib, comp.ratio)
     compressed = apply_compression(model, plan)
-    _artifact(out, "plan.json").write_text(json.dumps(plan.to_dict(), indent=2) + "\n",
-                                   encoding="utf-8")
     report = measure_compression(model, compressed, measure_ids,
                                  cfg.expansion.target_branch, plan)
-    _artifact(out, "measure.csv").write_text("\n".join(report.csv_rows()) + "\n", encoding="utf-8")
-    save_checkpoint(_artifact(out, "checkpoint"), compressed, seed)
+    write_file(out / "plan.json", json.dumps(plan.to_dict(), indent=2) + "\n")
+    write_file(out / "measure.csv", "\n".join(report.csv_rows()) + "\n")
+    save_checkpoint(out / "checkpoint", compressed, seed)
     print(report.summary())
     print(f"achieved removal {plan.achieved_ratio:.2%} of target {comp.ratio:.0%} scope")
     print(f"checkpoint: {out / 'checkpoint'}")
@@ -204,7 +194,7 @@ def cmd_eval(args) -> int:
         ppl = branch_perplexity(model, ids, k, window=args.window)
         rows.append(f"{k},{model.config.exit_depths[k]},{ppl:.9g}")
         print(f"{k:>6} {model.config.exit_depths[k]:>6} {ppl:>12.4f}")
-    _artifact(out, "eval.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_file(out / "eval.csv", "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -221,7 +211,7 @@ def cmd_generate(args) -> int:
                         backfill=args.backfill)
     trace = generate(model, prompt, policy, max_new=args.max_new)
     text = tok.decode_text(trace.tokens)
-    _artifact(out, "trace.jsonl").write_text(trace.jsonl(), encoding="utf-8")
+    write_file(out / "trace.jsonl", trace.jsonl())
     depths = [r.exit_depth for r in trace.records]
     print(text)
     mean_depth = (sum(depths) / len(depths)) if depths else float("nan")
@@ -237,7 +227,7 @@ def cmd_analyze(args) -> int:
     tokens = np.asarray([BOS] + list(tok.encode(args.text)))
     scores, labels, degenerate = layer_cosine_similarity(model, tokens, branch=args.branch)
     rows = cosine_csv_rows(scores, tokens)
-    _artifact(out, "cosine.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_file(out / "cosine.csv", "\n".join(rows) + "\n")
     print(f"wrote {scores.shape[0]} layers x {scores.shape[1]} tokens to {out / 'cosine.csv'}"
           + (" (degenerate rows present)" if degenerate else ""))
     return EXIT_OK
@@ -247,7 +237,7 @@ def cmd_export(args) -> int:
     model, seed, _ = _load_model(args)
     out = _out_dir(args)
     sub = extract_submodel(model, args.branch)
-    save_checkpoint(_artifact(out, "checkpoint"), sub, seed)
+    save_checkpoint(out / "checkpoint", sub, seed)
     counts = param_count(sub)
     print(f"exported branch {args.branch}: {counts['total']} parameters "
           f"-> {out / 'checkpoint'}")

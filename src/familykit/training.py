@@ -269,15 +269,13 @@ def metrics_rows(metrics: list[StepMetrics], arm: str | None = None) -> list[str
     return rows
 
 
-def write_metrics_csv(path, metrics: list[StepMetrics], arm: str | None = None,
-                      append: bool = False) -> None:
-    header = METRICS_HEADER + (",arm" if arm is not None else "")
-    rows = metrics_rows(metrics, arm)
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="\n") as f:
-        if not append:
-            f.write(header + "\n")
-        f.write("\n".join(rows) + ("\n" if rows else ""))
+def metrics_csv(runs: list[StepMetrics] | dict[str, list[StepMetrics]]) -> str:
+    """CSV text of one run's metrics, or of several runs keyed by arm under
+    one header that adds an `arm` column."""
+    arms = runs if isinstance(runs, dict) else {None: runs}
+    header = METRICS_HEADER + (",arm" if isinstance(runs, dict) else "")
+    rows = [row for arm, metrics in arms.items() for row in metrics_rows(metrics, arm)]
+    return "".join(f"{line}\n" for line in [header, *rows])
 
 
 def run_training(model: FamilialModel, corpus_ids: np.ndarray, config: TrainConfig,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -14,13 +15,14 @@ from conftest import cast_model, make_corpus, tiny_config
 from familykit.cli import main as cli_main
 from familykit import checkpoint
 from familykit.checkpoint import (FORMAT_VERSION, OPTIM, WEIGHTS, config_fingerprint,
-                                  ensure_compatible, load_checkpoint, save_checkpoint)
+                                  ensure_compatible, load_checkpoint, save_checkpoint,
+                                  write_file)
 from familykit.compression import apply_compression, build_plan, capture_activations
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
 from familykit.model import (BLOCK_MATRICES, desk_config, extract_submodel, forward_branch,
                              init_model, linear_slots, named_parameters)
-from familykit.training import LambdaSchedule, TrainConfig, run_training, write_metrics_csv
+from familykit.training import LambdaSchedule, TrainConfig, metrics_csv, run_training
 
 
 def _files(path):
@@ -140,10 +142,8 @@ def test_resume_is_bit_identical(tmp_path):
     resumed = run_training(resumed_model, corpus, tc_full, sched, resume=optim, log_every=0)
     save_checkpoint(tmp_path / "resumed", resumed_model, 8, (resumed.step, resumed.moments))
 
-    write_metrics_csv(tmp_path / "full.csv", full.metrics)
-    write_metrics_csv(tmp_path / "tail.csv", resumed.metrics)
-    full_rows = (tmp_path / "full.csv").read_text().splitlines()
-    tail_rows = (tmp_path / "tail.csv").read_text().splitlines()[1:]
+    full_rows = metrics_csv(full.metrics).splitlines()
+    tail_rows = metrics_csv(resumed.metrics).splitlines()[1:]
     assert full_rows[1 + 6 * 2:] == tail_rows  # rows for steps 6..11 identical
     for name in _files(tmp_path / "full"):
         assert (tmp_path / "full" / name).read_bytes() == \
@@ -292,6 +292,48 @@ def test_interrupted_save_never_loads_a_mix(tmp_path, monkeypatch, cut):
     else:
         with pytest.raises(IntegrityError):
             load_checkpoint(tmp_path / "c")
+
+
+def test_write_file_fsyncs_the_temporary_file_before_renaming(tmp_path, monkeypatch):
+    # a power loss after the rename must find the file's bytes on disk
+    calls, fsync, replace = [], checkpoint.os.fsync, checkpoint.os.replace
+    tmp = tmp_path / "out" / ".a.txt.tmp"
+
+    def recorded_fsync(fd):
+        calls.append(("fsync", tmp.exists() and
+                      os.path.samestat(os.fstat(fd), os.stat(tmp))))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        calls.append(("replace", Path(src) == tmp and Path(dst) == tmp_path / "out" / "a.txt"))
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", recorded_fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", recorded_replace)
+    write_file(tmp_path / "out" / "a.txt", "caf\u00e9\n")
+    assert calls == [("fsync", True), ("replace", True)]
+    assert (tmp_path / "out" / "a.txt").read_bytes() == "caf\u00e9\n".encode("utf-8")
+    assert _files(tmp_path / "out") == ["a.txt"]
+
+
+def test_failed_artifact_write_keeps_the_earlier_file_whole(tmp_path, monkeypatch):
+    # a second eval into the same --out whose rename fails leaves the first
+    # eval.csv as it was, no temporary file, and exits 2 like any OSError
+    save_checkpoint(tmp_path / "c", init_model(desk_config(), seed=4), seed=4)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(make_corpus(2048, seed=4))
+    argv = ["eval", "--checkpoint", str(tmp_path / "c"), "--eval-corpus", str(corpus),
+            "--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 0
+    first = (tmp_path / "o" / "eval.csv").read_bytes()
+
+    def refused(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(checkpoint.os, "replace", refused)
+    assert cli_main(argv + ["--window", "16"]) == 2
+    assert (tmp_path / "o" / "eval.csv").read_bytes() == first
+    assert _files(tmp_path / "o") == ["eval.csv"]
 
 
 def _with_moments(path, seed=12):

@@ -373,6 +373,7 @@ def test_cli_artifacts_exist(mini_pipeline):
     assert {"name", "L_min", "score", "ratio", "rank", "params_before",
             "params_after"} <= set(plan["matrices"][0])
     assert (root / "c" / "measure.csv").exists()
+    assert not list(root.rglob("*.tmp"))  # every artifact was renamed into place
 
 
 def test_cli_compress_calibrates_on_corpus_and_measures_on_eval_corpus(mini_pipeline,
@@ -669,6 +670,22 @@ def test_cli_compress_needs_calib_sequences_windows(mini_pipeline, tmp_path):
     assert cli_main(["compress", "--config", str(cfg), "--checkpoint",
                      str(root / "x" / "checkpoint"), "--out", str(out),
                      "--compression.calib_sequences=769"]) == 3
+    assert not out.exists()
+
+
+def test_cli_compress_rejects_a_short_eval_corpus_before_writing(mini_pipeline, tmp_path,
+                                                                capsys):
+    # the held-out perplexity is measured before the first artifact is written,
+    # so a held-out corpus too short to evaluate leaves no plan.json behind
+    root, cfg = mini_pipeline["root"], mini_pipeline["cfg"]
+    short = tmp_path / "short.txt"
+    short.write_bytes(b"abcde")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli_main(["compress", "--config", str(cfg), "--checkpoint",
+                     str(root / "x" / "checkpoint"), "--out", str(out),
+                     f"--paths.eval_corpus={short}"]) == 3
+    assert "need at least" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,9 +20,8 @@ from familykit.model import (copy_model, desk_config, forward_all_branches, init
                              named_parameters, set_freeze)
 from familykit.tensor import Tensor, backward, cross_entropy
 from familykit.training import (IGNORE_INDEX, LambdaSchedule, TrainConfig, TrainState,
-                                joint_loss, lambda_at, lr_at, metrics_rows,
-                                run_training, targets_for, train_step,
-                                write_metrics_csv)
+                                joint_loss, lambda_at, lr_at, metrics_csv, metrics_rows,
+                                run_training, targets_for, train_step)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,7 @@ def test_joint_loss_dot_product_oracle():
     assert abs(ours - oracle) <= 1e-12 * abs(oracle)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.floats(0.01, 10), min_size=1, max_size=5),
        st.floats(0.125, 8))
 def test_joint_loss_linearity(losses, alpha):
@@ -325,13 +324,11 @@ def test_short_run_beats_unigram_entropy():
     assert all(loss < bound for loss in state.metrics[-1].branch_losses)
 
 
-def test_metrics_csv_schema(tmp_path):
+def test_metrics_csv_schema():
     state = _small_state(seed=7)
     for step in range(3):
         train_step(state, _batch(step))
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, state.metrics)
-    lines = path.read_text().splitlines()
+    lines = metrics_csv(state.metrics).splitlines()
     assert lines[0] == "step,branch,loss,lambda,lr,grad_norm"
     assert len(lines) == 1 + 3 * 2  # one row per branch per step
     assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
