@@ -29,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IntegrityError
-from .model import (LINEAR_SLOTS, Factored, FamilialModel, FamilyConfig, blank_model,
-                    named_parameters, weight_slots)
+from .model import FamilialModel, FamilyConfig, from_parameters, named_parameters
 from .tensor import Tensor
 
 FORMAT_VERSION = 2  # 2: the manifest records a sha256 per blob
@@ -174,11 +173,11 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, tuple[int, di
     """Model, seed and optimizer state `(step, moments)`, or None, of a
     checkpoint directory.
 
-    The model is built in the config's shape and each slot is filled from
-    the manifest entry of the same name, so every entry is checked against
-    the shape the config implies; a linear slot may instead hold a factor
-    pair `{name}.B` (in, r) and `{name}.A` (r, out). A parameter has one
-    `<param>::m` and `<param>::v` moment pair in its shape, or none.
+    Every entry is read, then `from_parameters` assembles the model of the
+    config from them, which checks each against the shape the config
+    implies; a linear slot may instead hold a factor pair `{name}.B`
+    (in, r) and `{name}.A` (r, out). A parameter has one `<param>::m` and
+    `<param>::v` moment pair in its shape, or none.
     """
     path = Path(path)
     manifest = _read_manifest(path)
@@ -190,33 +189,19 @@ def load_checkpoint(path: str | Path) -> tuple[FamilialModel, int, tuple[int, di
     entries = {_field(e, "name", str): e for e in manifest["params"]}
     if len(entries) != len(manifest["params"]):
         raise IntegrityError("checkpoint manifest names a parameter more than once")
+    # every entry is read before any is placed: together they may read the blob once
+    if sum(max(_field(e, "byte_length", int), 0) for e in entries.values()) != len(blob):
+        raise IntegrityError(f"the parameters' byte lengths do not add up to {WEIGHTS}")
 
-    def param(name: str, shape: tuple[int, ...] | None = None) -> Tensor:
-        if name not in entries:
-            raise IntegrityError(f"checkpoint is missing parameter {name!r}")
-        entry = entries[name]
+    def param(entry: dict) -> Tensor:
         trainable = entry.get("trainable", True)
         if not isinstance(trainable, bool):
-            raise IntegrityError(f"{name}: 'trainable' must be true or false, got {trainable!r}")
-        return Tensor(_read_array(blob, entry, shape), requires_grad=trainable)
+            raise IntegrityError(f"{entry['name']}: 'trainable' must be true or false, "
+                                 f"got {trainable!r}")
+        return Tensor(_read_array(blob, entry), requires_grad=trainable)
 
-    model = blank_model(config)
-    for name, owner, attr in weight_slots(model):
-        shape = getattr(owner, attr).shape
-        if attr in LINEAR_SLOTS and name not in entries and f"{name}.B" in entries:
-            w = Factored(b=param(f"{name}.B"), a=param(f"{name}.A"))
-            if len(w.b.shape) != 2 or w.b.shape[0] != shape[0] or \
-                    w.a.shape != (w.b.shape[1], shape[1]):
-                raise IntegrityError(
-                    f"{name} factors have shapes {list(w.b.shape)} and {list(w.a.shape)}; "
-                    f"the config implies [{shape[0]}, r] and [r, {shape[1]}]")
-        else:
-            w = param(name, shape)
-        setattr(owner, attr, w)
+    model = from_parameters(config, {name: param(entry) for name, entry in entries.items()})
     shapes = {name: p.shape for name, p in named_parameters(model)}
-    missing = set(entries) - set(shapes)
-    if missing:
-        raise IntegrityError(f"checkpoint has parameters the config cannot place: {sorted(missing)}")
 
     optimizer = None
     if "optimizer" in manifest:

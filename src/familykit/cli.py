@@ -129,11 +129,11 @@ def cmd_expand(args) -> int:
 
     schedule = LambdaSchedule.branch_only(expanded.config.n_branches,
                                           spec.target_branch, cfg.train.total_steps)
-    states = {}
-    for arm in INIT_MODES if args.ablate else (spec.init_mode,):
-        grown = (expanded if arm == spec.init_mode
-                 else expand(model, replace(spec, init_mode=arm))[0])
-        states[arm] = run_training(grown, ids, cfg.train, schedule)
+    # every arm is grown, and so checked, before any arm trains
+    grown = {arm: expanded if arm == spec.init_mode
+             else expand(model, replace(spec, init_mode=arm))[0]
+             for arm in (INIT_MODES if args.ablate else (spec.init_mode,))}
+    states = {arm: run_training(m, ids, cfg.train, schedule) for arm, m in grown.items()}
     if args.ablate:
         write_file(out / "ablation.csv",
                    metrics_csv({arm: arm_state.metrics for arm, arm_state in states.items()}))
@@ -207,8 +207,7 @@ def cmd_generate(args) -> int:
                         mode="sample" if args.sample else "greedy",
                         temperature=args.temperature,
                         seed=args.seed if args.seed is not None
-                        else (args.cfg.seed if args.cfg else 0),
-                        backfill=args.backfill)
+                        else (args.cfg.seed if args.cfg else 0))
     trace = generate(model, prompt, policy, max_new=args.max_new)
     text = tok.decode_text(trace.tokens)
     write_file(out / "trace.jsonl", trace.jsonl())
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", action="store_true")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--backfill", choices=("lazy", "always"), default="lazy")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("analyze", help="per-layer input/output cosine similarity")

@@ -27,8 +27,8 @@ from . import kernels
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
 from .evaluation import branch_perplexity
 from .linalg import cholesky_array, svd_array
-from .model import (LINEAR_SLOTS, Factored, FamilialModel, copy_model, forward_exits,
-                    linear_slots, param_count, weight_slots)
+from .model import (LINEAR_SLOTS, FamilialModel, copy_model, forward_exits, from_parameters,
+                    named_parameters, param_count, weight_slots)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -256,22 +256,16 @@ def group_of(name: str) -> str:
     return "heads" if name.endswith(".lm_proj") else name.rsplit(".", 1)[0]
 
 
-def _matrix(slots: dict[str, tuple[object, str]], name: str) -> np.ndarray:
-    """W (out x in) in binary64; a factored slot cannot be planned again."""
-    owner, attr = slots[name]
-    slot = getattr(owner, attr)
-    if isinstance(slot, Factored):
-        raise ConfigError(f"{name} is already factored")
-    return slot.data.T.astype(np.float64)
-
-
 def build_plan(model: FamilialModel, calib: CalibrationSet,
                target_ratio: float) -> CompressionPlan:
     """Eq-driven per-matrix ratios, floor ranks, then a rank repair pass so
     the achieved removal over the scope lands within 2% of target."""
     names = sorted(calib.grams)
-    slots = linear_slots(model)
-    weights = {n: _matrix(slots, n) for n in names}
+    params = dict(named_parameters(model))
+    factored = [n for n in names if n not in params]
+    if factored:  # a factored slot cannot be planned again
+        raise ConfigError(f"{factored} are already factored")
+    weights = {n: params[n].data.T.astype(np.float64) for n in names}  # W (out x in)
     dims = {n: weights[n].shape for n in names}
     # matrices that read one input have equal Grams: each is whitened once
     whitened: dict[bytes, WhitenFactors] = {}
@@ -336,25 +330,19 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
 
 
 def apply_compression(model: FamilialModel, plan: CompressionPlan) -> FamilialModel:
-    """Replace each planned matrix with its factored pair on a copy of the
-    model; every parameter outside the plan is untouched bit for bit."""
-    compressed = copy_model(model)
-    slots = linear_slots(compressed)
+    """A copy of the model with each planned matrix replaced by its factor
+    pair; every parameter outside the plan is untouched bit for bit."""
+    params = dict(named_parameters(copy_model(model)))
     for entry in plan.entries:
-        if entry.name not in slots:
-            raise IntegrityError(f"plan names {entry.name!r}, model has no such matrix")
-        owner, attr = slots[entry.name]
-        slot = getattr(owner, attr)
-        if isinstance(slot, Factored):
-            raise IntegrityError(f"{entry.name} is already factored")
-        a, b = plan.factors[entry.name]
-        in_dim, out_dim = slot.data.shape
-        if a.shape != (out_dim, entry.rank) or b.shape != (entry.rank, in_dim):
-            raise IntegrityError(f"plan factors for {entry.name} do not fit the model")
-        setattr(owner, attr, Factored(
-            b=Tensor(np.ascontiguousarray(b.T), requires_grad=True),
-            a=Tensor(np.ascontiguousarray(a.T), requires_grad=True)))
-    return compressed
+        if params.pop(entry.name, None) is None:
+            raise IntegrityError(f"plan names {entry.name!r}; the model holds no dense "
+                                 "matrix of that name (absent or already factored)")
+        a, b = (Tensor(np.ascontiguousarray(f.T), requires_grad=True)
+                for f in plan.factors[entry.name])
+        if a.shape[:1] != (entry.rank,) or b.shape[1:] != (entry.rank,):
+            raise IntegrityError(f"plan factors for {entry.name} do not have rank {entry.rank}")
+        params[f"{entry.name}.A"], params[f"{entry.name}.B"] = a, b
+    return from_parameters(model.config, params)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ branch blocks, and projects to the vocabulary through an untied head.
 Sub-models at different exits are therefore nested prefixes of one
 parameter store, never copies.
 
-`weight_slots` is the one walk of that store. `block_forward` is the one
-statement of the block math and `forward_exits` the one forward loop, both
-over an op module the caller picks: training passes the autodiff ops of
-`tensor`; evaluation, calibration, the identity check, analysis and cached
-decoding pass the raw kernels of `kernels` that those ops wrap. Both
-compute the same values bit for bit, and only training builds a graph.
+`weight_slots` is the one walk of that store, read out by `named_parameters`
+and filled by `from_parameters`. `block_forward` is the one statement of
+the block math and `forward_exits` the one forward loop, both over an op
+module the caller picks: training passes the autodiff ops of `tensor`;
+evaluation, calibration, the identity check, analysis and cached decoding
+pass the raw kernels of `kernels` that those ops wrap. Both compute the
+same values bit for bit, and only training builds a graph.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from . import tensor
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, IntegrityError, ShapeError
 from .rng import SplitRng
 from .tensor import Tensor, causal_mask, rope_tables
 
@@ -245,7 +246,11 @@ def init_block(cfg: FamilyConfig, rng: SplitRng | None, label: str,
     return BlockWeights(**mats, attn_norm=_gain(cfg), mlp_norm=_gain(cfg))
 
 
-def _build(config: FamilyConfig, rng: SplitRng | None) -> FamilialModel:
+def init_model(config: FamilyConfig, seed: int) -> FamilialModel:
+    """Gaussian(0, 0.02^2) projections, unit norm gains; branch block j of
+    exit k starts as a copy of backbone layer exit_depths[k] + j when that
+    layer exists, else fresh Gaussian."""
+    rng = SplitRng(seed).split("init")
     emb = _matrix(rng, "embedding", (config.vocab, config.hidden), INIT_STD)
     backbone = [init_block(config, rng, f"backbone.{i}") for i in range(config.n_layers)]
     exits = []
@@ -260,19 +265,6 @@ def _build(config: FamilyConfig, rng: SplitRng | None) -> FamilialModel:
     return FamilialModel(config=config, embedding=emb, backbone=backbone, exits=exits)
 
 
-def init_model(config: FamilyConfig, seed: int) -> FamilialModel:
-    """Gaussian(0, 0.02^2) projections, unit norm gains; branch block j of
-    exit k starts as a copy of backbone layer exit_depths[k] + j when that
-    layer exists, else fresh Gaussian."""
-    return _build(config, SplitRng(seed).split("init"))
-
-
-def blank_model(config: FamilyConfig) -> FamilialModel:
-    """A model of the config's shape with zero projections and unit gains,
-    for checkpoint loading to fill slot by slot."""
-    return _build(config, None)
-
-
 # ---------------------------------------------------------------------------
 # parameter traversal
 # ---------------------------------------------------------------------------
@@ -283,8 +275,8 @@ LINEAR_SLOTS = BLOCK_MATRICES + ("lm_proj",)  # slots that may hold a Factored w
 def weight_slots(model: FamilialModel) -> Iterator[tuple[str, object, str]]:
     """(name, owner, attribute) of every weight slot, in checkpoint order.
 
-    This is the one walk of the model's structure: parameter names, slot
-    lookup, copies, casts and checkpoint loading are all built on it.
+    This is the one walk of the model's structure: parameter names, copies,
+    casts and every assembly by `from_parameters` are built on it.
     """
     def block(prefix: str, b: BlockWeights):
         return ((f"{prefix}.{m}", b, m) for m in BLOCK_MATRICES + BLOCK_NORMS)
@@ -312,11 +304,42 @@ def named_parameters(model: FamilialModel) -> list[tuple[str, Tensor]]:
     return out
 
 
-def linear_slots(model: FamilialModel) -> dict[str, tuple[object, str]]:
-    """Name -> (owner, attribute) of every linear slot, from one walk; a
-    caller that reads or writes many slots builds it once."""
-    return {name: (owner, attr) for name, owner, attr in weight_slots(model)
-            if attr in LINEAR_SLOTS}
+def from_parameters(config: FamilyConfig, params: dict[str, Tensor]) -> FamilialModel:
+    """The model of `config` with each named Tensor in its slot: the inverse
+    of `named_parameters`, and the one way in for every model that is not
+    freshly initialised. A linear slot (in, out) may instead take a
+    `{name}.B` (in, r) and `{name}.A` (r, out) pair. A parameter that is
+    missing, misshapen, unpaired or fits no slot is an IntegrityError."""
+    params, h = dict(params), config.hidden
+    shapes = {**_block_shapes(config), **dict.fromkeys(BLOCK_NORMS + ("final_norm",), (h,)),
+              "embedding": (config.vocab, h), "lm_proj": (h, config.vocab)}
+
+    def empty() -> BlockWeights:
+        return BlockWeights(**dict.fromkeys(BLOCK_MATRICES + BLOCK_NORMS))
+
+    model = FamilialModel(config, None, [empty() for _ in range(config.n_layers)],
+                          [ExitHead([empty() for _ in range(n)], None, None)
+                           for n in config.branch_blocks])
+    for name, owner, attr in weight_slots(model):
+        shape = shapes[attr]
+        if name in params:
+            w = params.pop(name)
+            if w.shape != shape:
+                raise IntegrityError(f"{name} has shape {list(w.shape)}; "
+                                     f"the config implies {list(shape)}")
+        elif attr in LINEAR_SLOTS and {f"{name}.A", f"{name}.B"} <= params.keys():
+            w = Factored(b=params.pop(f"{name}.B"), a=params.pop(f"{name}.A"))
+            if len(w.b.shape) != 2 or w.b.shape[0] != shape[0] or \
+                    w.a.shape != (w.b.shape[1], shape[1]):
+                raise IntegrityError(
+                    f"{name} factors have shapes {list(w.b.shape)} and {list(w.a.shape)}; "
+                    f"the config implies [{shape[0]}, r] and [r, {shape[1]}]")
+        else:
+            raise IntegrityError(f"missing parameter {name!r}")
+        setattr(owner, attr, w)
+    if params:
+        raise IntegrityError(f"parameters the config cannot place: {sorted(params)}")
+    return model
 
 
 def param_count(model: FamilialModel) -> dict:
@@ -346,11 +369,9 @@ def set_freeze(model: FamilialModel, freeze_predicate: Callable[[str], bool]) ->
 
 
 def copy_model(model: FamilialModel) -> FamilialModel:
-    """Deep copy sharing no array with `model`; gradients are dropped."""
-    clone = copy.deepcopy(model)
-    for _, p in named_parameters(clone):
-        p.grad = None
-    return clone
+    """Copy sharing no array with `model`; gradients are dropped."""
+    return from_parameters(model.config, {name: Tensor(p.data.copy(), p.requires_grad, p.dtype)
+                                          for name, p in named_parameters(model)})
 
 
 def extract_submodel(model: FamilialModel, branch: int) -> FamilialModel:

@@ -21,7 +21,7 @@ from familykit.compression import apply_compression, build_plan, capture_activat
 from familykit.errors import IntegrityError
 from familykit.expansion import ExpansionSpec, expand
 from familykit.model import (BLOCK_MATRICES, desk_config, extract_submodel, forward_branch,
-                             init_model, linear_slots, named_parameters)
+                             init_model, named_parameters)
 from familykit.training import LambdaSchedule, TrainConfig, metrics_csv, run_training
 
 
@@ -153,7 +153,9 @@ def test_resume_is_bit_identical(tmp_path):
 def _edit_manifest(ckpt, edit):
     path = ckpt / "manifest.json"
     doc = json.loads(path.read_text())
-    edit({e["name"]: e for e in doc["params"]})
+    entries = {e["name"]: e for e in doc["params"]}
+    edit(entries)
+    doc["params"] = list(entries.values())
     path.write_text(json.dumps(doc))
 
 
@@ -165,8 +167,9 @@ def _rank2_plan(model, seed):
     names = [f"exits.0.blocks.{j}.{m}" for m in BLOCK_MATRICES] + ["exits.0.lm_proj"]
     rng = np.random.default_rng(seed)
     entries, factors = [], {}
+    params = dict(named_parameters(model))
     for name in names:
-        in_dim, out_dim = getattr(*linear_slots(model)[name]).data.shape
+        in_dim, out_dim = params[name].shape
         factors[name] = (rng.standard_normal((out_dim, 2)).astype(np.float32),
                          rng.standard_normal((2, in_dim)).astype(np.float32))
         entries.append(PlanEntry(name=name, l_min=0.0, score=1.0, ratio=0.5, rank=2,
@@ -198,8 +201,18 @@ def _rank_edit(entries):
     a["byte_length"] = 4 * a["shape"][0] * a["shape"][1]
 
 
-@pytest.mark.parametrize("edit", [_shape_edit, _length_edit, _rank_edit],
-                         ids=["plain-shape", "byte-length", "factor-rank"])
+def _unpaired_edit(entries):
+    del entries["exits.0.lm_proj.A"]
+
+
+def _unplaceable_edit(entries):
+    entries["exits.2.lm_proj"] = dict(entries["exits.1.lm_proj"], name="exits.2.lm_proj")
+
+
+@pytest.mark.parametrize("edit", [_shape_edit, _length_edit, _rank_edit, _unpaired_edit,
+                                  _unplaceable_edit],
+                         ids=["plain-shape", "byte-length", "factor-rank", "factor-unpaired",
+                              "unplaceable"])
 def test_entries_checked_against_config(tmp_path, edit):
     _, compressed = _compressed_desk(seed=9)
     save_checkpoint(tmp_path / "c", compressed, seed=9)
@@ -216,7 +229,7 @@ def test_damaged_weights_rejected(tmp_path, damage):
     model = init_model(desk_config(), seed=10)
     optimizer = None
     if damage == "nan":
-        getattr(*linear_slots(model)["exits.0.blocks.0.w_up"]).data[0, 0] = np.nan
+        dict(named_parameters(model))["exits.0.blocks.0.w_up"].data[0, 0] = np.nan
     if damage == "inf-moment":
         optimizer = (1, {n: (np.zeros_like(p.data), np.zeros_like(p.data))
                          for n, p in named_parameters(model)})

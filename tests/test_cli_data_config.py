@@ -29,7 +29,7 @@ from familykit.training import LambdaSchedule, TrainConfig
 # tokenizer
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.binary(max_size=200))
 def test_tokenizer_bijective_on_bytes(data):
     tok = ByteTokenizer()
@@ -252,7 +252,7 @@ def _float_fields(obj):
             yield from value if isinstance(value, tuple) else (value,)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_OVERRIDE_KEYS, _OVERRIDE_VALUES)
 def test_random_override_gives_config_error_or_finite_config(key, value):
     try:
@@ -273,7 +273,7 @@ def one_step_run(tmp_path_factory):
     return cfg, root
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_OVERRIDE_KEYS, _OVERRIDE_VALUES)
 @example("train.seed", "-1")
 def test_random_override_through_cli_exits_with_a_documented_code(one_step_run, key, value):
@@ -423,6 +423,19 @@ def test_cli_expand_ablate_keeps_the_spec_arm(mini_pipeline, tmp_path, init):
                                                                for m in metrics[1:]]
 
 
+def test_cli_expand_ablate_grows_every_arm_before_training(mini_pipeline, tmp_path,
+                                                            monkeypatch):
+    """A clone_source outside the backbone is the clone arm's config error:
+    `--ablate` with a randomized spec reports it before any arm trains."""
+    calls = []
+    monkeypatch.setattr(cli, "run_training", lambda *args, **kw: calls.append(args))
+    root = mini_pipeline["root"]
+    assert cli_main(["expand", "--config", str(mini_pipeline["cfg"]), "--ablate",
+                     "--checkpoint", str(root / "t" / "checkpoint"),
+                     "--out", str(tmp_path / "o"), "--expansion.clone_source=99"]) == 2
+    assert calls == [] and not (tmp_path / "o").exists()
+
+
 def test_cli_metrics_has_rows_per_branch(mini_pipeline):
     lines = (mini_pipeline["root"] / "t" / "metrics.csv").read_text().splitlines()
     assert lines[0] == "step,branch,loss,lambda,lr,grad_norm"
@@ -511,7 +524,8 @@ def _checkpoint_command(tmp_path, command) -> list[str]:
         "export": ["--branch", "0"]}[command]]
 
 
-@pytest.mark.parametrize("stray", ["--x=1", "garbage"], ids=["override", "bare-word"])
+@pytest.mark.parametrize("stray", ["--x=1", "garbage", "--backfill=always"],
+                         ids=["override", "bare-word", "removed-flag"])
 @pytest.mark.parametrize("command", ["eval", "generate", "analyze", "export"])
 def test_cli_stray_argument_without_config_exits_2(tmp_path, command, stray):
     argv = _checkpoint_command(tmp_path, command)

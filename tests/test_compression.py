@@ -14,8 +14,8 @@ from familykit.evaluation import branch_perplexity
 from familykit.expansion import ExpansionSpec, expand
 from familykit.linalg import cholesky_array
 from familykit.model import (BLOCK_MATRICES, Factored, desk_config, forward_branch,
-                             forward_exits, init_model, linear_slots, named_parameters,
-                             param_count)
+                             forward_exits, init_model, named_parameters, param_count,
+                             weight_slots)
 
 
 def rand(shape, seed=0):
@@ -373,8 +373,8 @@ def test_apply_compression_swaps_only_planned_slots(expanded, plan_and_calib):
         else:
             assert np.array_equal(before[name], owner_param.data), name
     # factored forward shape: y = (x @ B) @ A
-    slot = getattr(*linear_slots(compressed)[plan.entries[0].name])
-    assert isinstance(slot, Factored)
+    slots = {name: getattr(owner, attr) for name, owner, attr in weight_slots(compressed)}
+    assert isinstance(slots[plan.entries[0].name], Factored)
     # param_count reflects factored sizes
     delta = param_count(expanded)["total"] - param_count(compressed)["total"]
     assert delta == plan.params_before - plan.params_after
@@ -394,9 +394,9 @@ def test_full_rank_plan_keeps_logits_close(expanded, plan_and_calib):
     import dataclasses
     from familykit.compression import CompressionPlan, PlanEntry
     entries, factors = [], {}
-    slots = linear_slots(expanded)
+    params = dict(named_parameters(expanded))
     for name, gram in calib.grams.items():
-        w = getattr(*slots[name]).data.T.astype(np.float64)
+        w = params[name].data.T.astype(np.float64)
         rank = min(w.shape)
         a, b = decompose(w, ridged(gram)).factors(rank)
         factors[name] = (a.astype(np.float32), b.astype(np.float32))
@@ -420,6 +420,10 @@ def test_plan_model_mismatch_rejected(expanded, plan_and_calib, trained_small):
     compressed = apply_compression(expanded, plan)
     with pytest.raises(IntegrityError):
         apply_compression(compressed, plan)  # already factored
+    from dataclasses import replace
+    first = replace(plan.entries[0], rank=plan.entries[0].rank + 1)
+    with pytest.raises(IntegrityError):  # the factors have another rank
+        apply_compression(expanded, replace(plan, entries=[first, *plan.entries[1:]]))
 
 
 def test_measure_compression_direction(expanded, plan_and_calib, eval_corpus):

@@ -3,13 +3,17 @@ standard library, numpy or familykit itself. scipy and other packages may be
 installed next to it but are not declared, so an import of one would break
 an install that has only what pyproject.toml asks for. Every module-level
 import is also used: one that is not is left over from deleted code. Foreign
-calls stay behind one module: only `tensor` imports `ctypes`."""
+calls stay behind one module: only `tensor` imports `ctypes`. Every
+Hypothesis test in tests/ is derandomized: a failing example that a random
+run draws is stored under `.hypothesis/` and replayed by every later run in
+that checkout, so a flaky example would fail the suite there for good."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "familykit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "familykit"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "familykit"}
 
 
@@ -56,3 +60,22 @@ def test_src_module_imports_are_used():
                 continue
             unused += [f"{module.name}: {name}" for name in bound if name not in used]
     assert not unused, unused
+
+
+def _called(decorator: ast.expr, name: str) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None)) == name
+
+
+def test_hypothesis_tests_are_derandomized():
+    random = []
+    for module in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            decorators = getattr(node, "decorator_list", [])
+            if not any(_called(d, "given") for d in decorators):
+                continue
+            if not any(_called(d, "settings") and any(
+                    k.arg == "derandomize" and getattr(k.value, "value", None) is True
+                    for k in d.keywords) for d in decorators):
+                random.append(f"{module.name}: {node.name}")
+    assert not random, random

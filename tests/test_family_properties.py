@@ -15,6 +15,9 @@ optionally with one linear slot replaced by a factored pair of random rank:
   under lazy backfill, after every verified window, no block has run past
   the last position at which an exit that reads it was evaluated;
 - an expanded branch equals the original at init;
+- `from_parameters` over `named_parameters` gives back every name in order
+  with its bits and `requires_grad` flag, and `copy_model` does the same
+  sharing no array with its source;
 - save -> load -> save gives identical bytes.
 """
 
@@ -30,9 +33,9 @@ from familykit import inference, kernels
 from familykit.checkpoint import load_checkpoint, save_checkpoint
 from familykit.expansion import ExpansionSpec, expand, verify_identity
 from familykit.inference import EMBEDDING, ExitPolicy, GenState, confidence, generate
-from familykit.model import (Factored, FamilyConfig, extract_submodel,
+from familykit.model import (LINEAR_SLOTS, FamilyConfig, copy_model, extract_submodel,
                              forward_all_branches, forward_branch, forward_exits,
-                             init_model, linear_slots)
+                             from_parameters, init_model, named_parameters, weight_slots)
 from familykit.tensor import Tensor
 
 
@@ -55,14 +58,17 @@ def families(draw):
     for head in model.exits:
         head.lm_proj.data *= np.float32(gain)
     if draw(st.booleans()):
-        slots = linear_slots(model)
-        owner, attr = slots[draw(st.sampled_from(list(slots)))]
-        w = getattr(owner, attr).data
+        params = dict(named_parameters(model))
+        name = draw(st.sampled_from([name for name, _, attr in weight_slots(model)
+                                     if attr in LINEAR_SLOTS]))
+        w = params.pop(name).data
         rank = draw(st.integers(1, min(w.shape)))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        setattr(owner, attr, Factored(
-            b=Tensor(rng.standard_normal((w.shape[0], rank)) * 0.1, requires_grad=True),
-            a=Tensor(rng.standard_normal((rank, w.shape[1])) * 0.1, requires_grad=True)))
+        params[f"{name}.B"] = Tensor(rng.standard_normal((w.shape[0], rank)) * 0.1,
+                                     requires_grad=True)
+        params[f"{name}.A"] = Tensor(rng.standard_normal((rank, w.shape[1])) * 0.1,
+                                     requires_grad=True)
+        model = from_parameters(cfg, params)
     tokens = np.asarray(draw(st.lists(st.integers(0, cfg.vocab - 1), min_size=2,
                                       max_size=min(cfg.ctx_len, 12))))
     return model, tokens
@@ -179,9 +185,21 @@ def _check_expansion(model, tokens, spec):
 
 
 def _check_round_trip(model):
+    source = copy_model(model)
+    for i, (_, p) in enumerate(named_parameters(source)):
+        p.requires_grad = i % 3 != 0  # some frozen, so both flags must come back
+    named = named_parameters(source)
+    for twin, shares in ((from_parameters(source.config, dict(named)), True),
+                         (copy_model(source), False)):
+        again = named_parameters(twin)
+        assert [name for name, _ in again] == [name for name, _ in named]
+        for (name, p), (_, q) in zip(named, again):
+            assert (q.dtype, q.shape, q.requires_grad) == (p.dtype, p.shape, p.requires_grad)
+            assert q.data.tobytes() == p.data.tobytes(), name
+            assert np.shares_memory(q.data, p.data) == shares, name
     with tempfile.TemporaryDirectory() as root:
         first, second = Path(root) / "a", Path(root) / "b"
-        save_checkpoint(first, model, seed=3)
+        save_checkpoint(first, source, seed=3)
         loaded, seed, _ = load_checkpoint(first)
         save_checkpoint(second, loaded, seed)
         names = sorted(p.name for p in first.iterdir())

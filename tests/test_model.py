@@ -4,12 +4,12 @@ import pytest
 from conftest import cast_model, pad_keys, tiny_config
 
 from familykit import kernels, model as fk_model, tensor
-from familykit.errors import ConfigError, InputError, ShapeError
+from familykit.errors import ConfigError, InputError, IntegrityError, ShapeError
 from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
-                             forward_exits, init_model, named_parameters, param_count,
-                             set_freeze)
-from familykit.tensor import (causal_mask, k_masked_softmax, k_matmul, k_rmsnorm,
+                             forward_exits, from_parameters, init_model, named_parameters,
+                             param_count, set_freeze)
+from familykit.tensor import (Tensor, causal_mask, k_masked_softmax, k_matmul, k_rmsnorm,
                               k_rope, k_silu, rope_tables)
 
 
@@ -339,6 +339,37 @@ def test_extract_shallow_branch_depth():
     assert sub.config.n_layers == 2
     assert sub.config.exit_depths == (2,)
     assert len(sub.exits[0].blocks) == 1
+
+
+LM = "exits.0.lm_proj"  # (16, 31) under tiny_config
+
+
+def _factored(params, b_shape, a_shape):
+    """`exits.0.lm_proj` replaced by a factor pair of the given shapes."""
+    del params[LM]
+    params[f"{LM}.B"], params[f"{LM}.A"] = Tensor(np.ones(b_shape)), Tensor(np.ones(a_shape))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ps: ps.pop("embedding"),
+    lambda ps: ps.update(embedding=Tensor(ps["embedding"].data.T)),
+    lambda ps: ps.update({"exits.2.lm_proj": ps[LM]}),
+    lambda ps: _factored(ps, (16, 2), (2, 31)) or ps.pop(f"{LM}.A"),
+    lambda ps: _factored(ps, (16, 2), (3, 31)),
+    lambda ps: _factored(ps, (15, 2), (2, 31)),
+    lambda ps: ps.update({f"{LM}.B": Tensor(np.ones((16, 2))),
+                          f"{LM}.A": Tensor(np.ones((2, 31)))}),
+    lambda ps: ps.update({"embedding.B": Tensor(np.ones((31, 2))),
+                          "embedding.A": Tensor(np.ones((2, 16)))}) or ps.pop("embedding"),
+], ids=["missing", "misshapen", "unplaceable", "factor-unpaired", "factor-ranks-differ",
+        "factor-misfits", "dense-and-factored", "factored-non-linear-slot"])
+def test_from_parameters_rejects_what_fits_no_slot(edit):
+    cfg = tiny_config()
+    params = dict(named_parameters(init_model(cfg, seed=4)))
+    from_parameters(cfg, params)
+    edit(params)
+    with pytest.raises(IntegrityError):
+        from_parameters(cfg, params)
 
 
 def test_param_count_closed_form_block():
