@@ -25,10 +25,11 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
-from .evaluation import branch_perplexity
+from .evaluation import EVAL_BATCH, branch_perplexity
 from .linalg import cholesky_array, svd_array
 from .model import (LINEAR_SLOTS, FamilialModel, copy_model, forward_exits, from_parameters,
                     named_parameters, param_count, weight_slots)
+from .parallel import map_groups
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -44,6 +45,15 @@ SCORE_CLAMP = 1.0 + 1e-6
 # calibration
 # ---------------------------------------------------------------------------
 
+CALIB_CHUNK = 8  # windows whose Gram products are summed as one
+
+
+def gram(x: np.ndarray) -> np.ndarray:
+    """x x^T summed over the positions of x (..., width), in binary64."""
+    x2d = x.reshape(-1, x.shape[-1]).astype(np.float64)
+    return x2d.T @ x2d
+
+
 @dataclass
 class CalibrationSet:
     """Per-matrix input Gram = sum over positions of x x^T, in binary64."""
@@ -58,9 +68,11 @@ class CalibrationSet:
         must not change between two adds of it)."""
         seen, product = self._last
         if x is not seen:
-            x2d = x.reshape(-1, x.shape[-1]).astype(np.float64)
-            product = x2d.T @ x2d
+            product = gram(x)
             self._last = (x, product)
+        self.add_gram(name, product)
+
+    def add_gram(self, name: str, product: np.ndarray) -> None:
         # -0.0 is the exact additive identity, so a first Gram keeps its bits
         self.grams[name] = self.grams.get(name, -0.0) + product
 
@@ -69,7 +81,12 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
                         scope) -> CalibrationSet:
     """Accumulate input Grams for every matrix selected by `scope` over
     calibration forward passes (fixed order, no graph) of the branches that
-    reach them: k for `exits.k.*`, the final branch for the backbone."""
+    reach them: k for `exits.k.*`, the final branch for the backbone.
+
+    Each Gram is the sum, from -0.0 and in window order, of one product per
+    `CALIB_CHUNK` windows. A batch of `EVAL_BATCH` windows is split into one
+    group of whole chunks per CPU (`familykit.parallel`), each run in one
+    forward that is row-stable, so the split changes no bit."""
     calib_tokens = np.asarray(calib_tokens, dtype=np.int64)
     if calib_tokens.ndim == 1:
         calib_tokens = calib_tokens[None, :]
@@ -83,12 +100,26 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
         raise ConfigError("scope selected no matrices during calibration")
     calib = CalibrationSet()
 
-    def tap(name: str, x: np.ndarray) -> None:
-        if scope(name):
-            calib.add(name, x)
+    def group_grams(batch: np.ndarray) -> dict[str, list[np.ndarray]]:
+        """Per tapped name in scope, the product of each chunk of `batch`."""
+        grams, last = {}, (None, [])
 
-    for start in range(0, calib_tokens.shape[0], 8):
-        forward_exits(model, calib_tokens[start:start + 8], branches, tap=tap, ops=kernels)
+        def tap(name: str, x: np.ndarray) -> None:
+            nonlocal last
+            if scope(name):
+                if x is not last[0]:  # one product per chunk and array, as in `add`
+                    last = x, [gram(x[i:i + CALIB_CHUNK]) for i in range(0, len(x), CALIB_CHUNK)]
+                grams[name] = last[1]
+
+        forward_exits(model, batch, branches, tap=tap, ops=kernels)
+        return grams
+
+    for start in range(0, calib_tokens.shape[0], EVAL_BATCH):
+        batch = calib_tokens[start:start + EVAL_BATCH]
+        for grams in map_groups(lambda a, b: group_grams(batch[a:b]), len(batch), CALIB_CHUNK):
+            for name, products in grams.items():
+                for product in products:
+                    calib.add_gram(name, product)
     return calib
 
 

@@ -2,7 +2,10 @@
 
 Evaluation trains nothing, so its forward runs on the raw kernels of
 `familykit.kernels` and builds no graph; the logits and the loss are the
-values the autodiff path of training computes, bit for bit.
+values the autodiff path of training computes, bit for bit. Each batch's
+windows are split into one group per CPU (`familykit.parallel`); the
+forward and the per-position NLL are row-stable, and the batch's mean is
+taken over the groups' NLLs in window order, so the split changes no bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, DataError
 from .model import FamilialModel, forward_exits
-from .tensor import k_cross_entropy
+from .parallel import map_groups
+from .tensor import k_nll, mean_nll
 from .training import IGNORE_INDEX, targets_for
 
 EVAL_BATCH = 64
@@ -35,10 +39,14 @@ def branch_nll(model: FamilialModel, ids: np.ndarray, branch: int,
     for start in range(0, n_windows, EVAL_BATCH):
         batch = rows[start:start + EVAL_BATCH]
         targets = targets_for(batch)
-        n_eff = int((targets != IGNORE_INDEX).sum())
-        logits = forward_exits(model, batch, [branch], ops=kernels)[0]
-        total += float(k_cross_entropy(logits, targets, IGNORE_INDEX)) * n_eff
-        count += n_eff
+
+        def group_nll(a: int, b: int) -> np.ndarray:
+            logits = forward_exits(model, batch[a:b], [branch], ops=kernels)[0]
+            return k_nll(logits, targets[a:b], IGNORE_INDEX)
+
+        nll = np.concatenate(map_groups(group_nll, len(batch)))
+        total += float(mean_nll(nll)) * nll.size
+        count += nll.size
     return total, count
 
 

@@ -94,6 +94,10 @@ class FamilyConfig:
             raise ConfigError("mlp_mult must be >= 1")
         if not finite(self.rms_eps, self.rope_base) or self.rms_eps <= 0 or self.rope_base <= 0:
             raise ConfigError("rms_eps and rope_base must be positive and finite")
+        with np.errstate(over="ignore"):  # the model computes in float32
+            eps32 = np.float32(self.rms_eps)
+        if not (np.isfinite(eps32) and eps32 > 0):
+            raise ConfigError(f"rms_eps {self.rms_eps!r} is 0 or infinite in float32")
         # counted in Python ints before anything is allocated: the parameters,
         # and the scores, MLP rows and logits of one full-context sequence
         h, block = self.hidden, sum(a * b for a, b in _block_shapes(self).values())

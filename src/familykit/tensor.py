@@ -302,23 +302,23 @@ def k_embedding(table: Array, ids: Array) -> Array:
     return table[ids]
 
 
-def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np.float64:
-    """Mean negative log-softmax of target classes over non-ignored positions.
+def k_nll(logits: Array, targets: Array, ignore_index: int = -1) -> Array:
+    """Negative log-softmax of the target class at each non-ignored
+    position, in position order: a 1-d float64 array, empty if every
+    position is ignored.
 
-    The per-position reductions run in float64 and the result stays float64
-    so that downstream loss aggregation is stable.
+    Each position's value is computed from its own row alone, in float64,
+    so it does not depend on the rows computed with it.
     """
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(f"targets {targets.shape} do not match logits {logits.shape[:-1]}")
     vocab = logits.shape[-1]
-    keep = targets != ignore_index
-    if not keep.any():
-        raise DegenerateBatchError("cross_entropy over zero effective positions")
-    if targets[keep].min() < 0 or targets[keep].max() >= vocab:
+    kflat = (targets != ignore_index).reshape(-1)
+    kept = targets.reshape(-1)[kflat]
+    if kept.size and (kept.min() < 0 or kept.max() >= vocab):
         raise InputError("target id outside [0, vocab)")
     flat = logits.reshape(-1, vocab)
-    kflat = keep.reshape(-1)
     # target logits and row maxima are read before widening, which is exact;
     # then one float64 copy is shifted and exponentiated in place
     picked = flat[np.arange(flat.shape[0]), np.where(kflat, targets.reshape(-1), 0)]
@@ -327,7 +327,20 @@ def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np
     shifted -= m[:, None]
     np.exp(shifted, out=shifted)
     nll = m + np.log(np.sum(shifted, axis=-1)) - picked
-    return np.float64(nll[kflat].sum() / kflat.sum())
+    return nll[kflat]
+
+
+def mean_nll(nll: Array) -> np.float64:
+    """Mean of the per-position values of `k_nll`, as float64 so that
+    downstream loss aggregation is stable."""
+    if not nll.size:
+        raise DegenerateBatchError("cross_entropy over zero effective positions")
+    return np.float64(nll.sum() / nll.size)
+
+
+def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np.float64:
+    """Mean negative log-softmax of target classes over non-ignored positions."""
+    return mean_nll(k_nll(logits, targets, ignore_index))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,8 @@ def test_mistyped_run_config_exits_2(tmp_path, section, key, value):
 @pytest.mark.parametrize("override", [
     "train.peak_lr=NaN", "train.peak_lr=Infinity", "train.beta1=2", "train.beta2=-1",
     "train.adam_eps=-1", "train.weight_decay=NaN", "train.grad_clip_norm=NaN",
-    "model.rms_eps=NaN", "model.rope_base=Infinity", "model.rope_base=NaN",
+    "model.rms_eps=NaN", "model.rms_eps=1e39", "model.rms_eps=3.5e38", "model.rms_eps=1e-50",
+    "model.rope_base=Infinity", "model.rope_base=NaN",
     "model.hidden=-8", "lambda.initial=[NaN, 1.0]", "expansion.gaussian_std=NaN",
     "expansion.gaussian_std=-1", "seed=-5", "seed=18446744073709551616",
     "train.seed=-1", "expansion.seed=-2", "stop-at=-1",

@@ -3,7 +3,8 @@ standard library, numpy or familykit itself. scipy and other packages may be
 installed next to it but are not declared, so an import of one would break
 an install that has only what pyproject.toml asks for. Every module-level
 import is also used: one that is not is left over from deleted code. Foreign
-calls stay behind one module: only `tensor` imports `ctypes`. Every
+calls stay behind one module: only `tensor` imports `ctypes`. So do threads:
+only `parallel` imports `concurrent` or `threading`. Every
 Hypothesis test in tests/ is derandomized: a failing example that a random
 run draws is stored under `.hypothesis/` and replayed by every later run in
 that checkout, so a flaky example would fail the suite there for good."""
@@ -38,6 +39,11 @@ def test_src_imports_only_stdlib_and_numpy():
 
 def test_one_module_makes_foreign_calls():
     assert {module for module, name in _absolute_imports() if name == "ctypes"} == {"tensor.py"}
+
+
+def test_one_module_starts_threads():
+    assert {module for module, name in _absolute_imports()
+            if name in ("concurrent", "threading")} == {"parallel.py"}
 
 
 # modules whose imports are their API: the package exports and the kernel namespace

@@ -18,7 +18,9 @@ optionally with one linear slot replaced by a factored pair of random rank:
 - `from_parameters` over `named_parameters` gives back every name in order
   with its bits and `requires_grad` flag, and `copy_model` does the same
   sharing no array with its source;
-- save -> load -> save gives identical bytes.
+- save -> load -> save gives identical bytes;
+- eval NLL sums, calibration Grams and the plan built from them have the
+  same bits at 1, 2 and 3 workers.
 """
 
 import tempfile
@@ -29,8 +31,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from familykit import inference, kernels
+from familykit import inference, kernels, parallel
 from familykit.checkpoint import load_checkpoint, save_checkpoint
+from familykit.compression import build_plan, capture_activations
+from familykit.errors import NumericError
+from familykit.evaluation import EVAL_BATCH, branch_nll
 from familykit.expansion import ExpansionSpec, expand, verify_identity
 from familykit.inference import EMBEDDING, ExitPolicy, GenState, confidence, generate
 from familykit.model import (LINEAR_SLOTS, FamilyConfig, copy_model, extract_submodel,
@@ -223,3 +228,37 @@ def test_exact_contracts_hold_on_random_families(family, data):
         clone_source=data.draw(st.integers(0, cfg.n_layers - 1)),
         seed=data.draw(st.integers(0, 1000))))
     _check_round_trip(model)
+
+
+def _eval_and_calibration_bits(model, ids, window, calib):
+    """Bytes of every branch's NLL sum and count, the Grams and the plan."""
+    scope = dict(named_parameters(model)).__contains__  # a factored slot is out of scope
+    nll = [(np.float64(total).tobytes(), count) for total, count in
+           (branch_nll(model, ids, k, window) for k in range(model.config.n_branches))]
+    calibration = capture_activations(model, calib, scope)
+    grams = {name: g.tobytes() for name, g in calibration.grams.items()}
+    try:
+        plan = build_plan(model, calibration, 0.4)
+    except NumericError as exc:  # tiny matrices may miss the budget: then equally
+        return nll, grams, repr(exc)
+    return nll, grams, plan.to_dict(), {name: (a.tobytes(), b.tobytes())
+                                        for name, (a, b) in plan.factors.items()}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(families(), st.data())
+def test_worker_count_changes_no_bit_on_random_families(family, data):
+    model, _ = family
+    cfg = model.config
+    window = data.draw(st.integers(2, cfg.ctx_len))
+    # one window, counts that are no multiple of 8 or of the worker count,
+    # and more than one eval batch
+    n_windows = data.draw(st.sampled_from([1, 5, 7, 8, 13, EVAL_BATCH + 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ids = rng.integers(0, cfg.vocab, n_windows * window + data.draw(st.integers(0, window - 1)))
+    calib = ids[:n_windows * window].reshape(n_windows, window)
+    outcomes = []
+    for k in (1, 2, 3):
+        with mock.patch.object(parallel, "usable_cpus", lambda: k):
+            outcomes.append(_eval_and_calibration_bits(model, ids, window, calib))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]

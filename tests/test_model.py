@@ -33,6 +33,9 @@ def test_published_scale_shapes_validate():
     dict(vocab=1),
     dict(ctx_len=0),
     dict(branch_blocks=(1,)),               # wrong arity
+    dict(rms_eps=1e39),                     # inf in the model's float32
+    dict(rms_eps=3.5e38),
+    dict(rms_eps=1e-50),                    # 0.0 in float32
 ])
 def test_invalid_configs_rejected(bad):
     base = dict(n_layers=2, hidden=16, q_heads=2, kv_heads=1, vocab=31,
@@ -40,6 +43,10 @@ def test_invalid_configs_rejected(bad):
     base.update(bad)
     with pytest.raises(ConfigError):
         FamilyConfig(**base)
+
+
+def test_rms_eps_float32_subnormal_accepted():
+    assert desk_config(rms_eps=1e-45).rms_eps == 1e-45
 
 
 def test_unknown_config_key_rejected():
