@@ -32,7 +32,8 @@ def _forget_pool() -> None:
     _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def usable_cpus() -> int:
