@@ -20,16 +20,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import kernels
+from . import kernels, parallel
 from .errors import ConfigError, DefinitenessError, IntegrityError, NumericError
-from .evaluation import EVAL_BATCH, branch_perplexity
+from .evaluation import branch_perplexity
 from .linalg import cholesky_array, svd_array
 from .model import (LINEAR_SLOTS, FamilialModel, copy_model, forward_exits, from_parameters,
                     named_parameters, param_count, weight_slots)
-from .parallel import map_groups
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ SCORE_CLAMP = 1.0 + 1e-6
 # calibration
 # ---------------------------------------------------------------------------
 
-CALIB_CHUNK = 8  # windows whose Gram products are summed as one
+CALIB_CHUNK = 8  # windows whose Gram products are summed as one; divides parallel.MIN_GROUP
 
 
 def gram(x: np.ndarray) -> np.ndarray:
@@ -59,18 +59,6 @@ class CalibrationSet:
     """Per-matrix input Gram = sum over positions of x x^T, in binary64."""
 
     grams: dict[str, np.ndarray] = field(default_factory=dict)
-    _last: tuple = field(default=(None, None), repr=False, compare=False)
-
-    def add(self, name: str, x: np.ndarray) -> None:
-        """Add x x^T to the Gram of `name`. The array added last and its
-        product are kept: w_q, w_k and w_v read one array in a forward, and
-        so do w_gate and w_up, so each such product is made once (an array
-        must not change between two adds of it)."""
-        seen, product = self._last
-        if x is not seen:
-            product = gram(x)
-            self._last = (x, product)
-        self.add_gram(name, product)
 
     def add_gram(self, name: str, product: np.ndarray) -> None:
         # -0.0 is the exact additive identity, so a first Gram keeps its bits
@@ -84,9 +72,12 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
     reach them: k for `exits.k.*`, the final branch for the backbone.
 
     Each Gram is the sum, from -0.0 and in window order, of one product per
-    `CALIB_CHUNK` windows. A batch of `EVAL_BATCH` windows is split into one
-    group of whole chunks per CPU (`familykit.parallel`), each run in one
-    forward that is row-stable, so the split changes no bit."""
+    `CALIB_CHUNK` windows. A batch of `MIN_GROUP` windows per usable CPU is
+    split into one group of whole chunks per CPU (`familykit.parallel`),
+    each run in one forward that is row-stable, so the split changes no bit.
+    The first group of a batch adds its products as it makes them; each
+    other group holds its own (about `MIN_GROUP // CALIB_CHUNK` per tapped
+    array) until the groups before it are added."""
     calib_tokens = np.asarray(calib_tokens, dtype=np.int64)
     if calib_tokens.ndim == 1:
         calib_tokens = calib_tokens[None, :]
@@ -100,26 +91,37 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
         raise ConfigError("scope selected no matrices during calibration")
     calib = CalibrationSet()
 
-    def group_grams(batch: np.ndarray) -> dict[str, list[np.ndarray]]:
-        """Per tapped name in scope, the product of each chunk of `batch`."""
-        grams, last = {}, (None, [])
+    def group_grams(batch: np.ndarray, fold: Callable[[str, np.ndarray], None]) -> None:
+        """fold(name, product) for each chunk of `batch`, in chunk order per name."""
+        last = None, []
 
         def tap(name: str, x: np.ndarray) -> None:
             nonlocal last
             if scope(name):
-                if x is not last[0]:  # one product per chunk and array, as in `add`
+                # w_q, w_k and w_v read one array in a forward, and so do
+                # w_gate and w_up: each chunk of such an array makes one product
+                if x is not last[0]:
                     last = x, [gram(x[i:i + CALIB_CHUNK]) for i in range(0, len(x), CALIB_CHUNK)]
-                grams[name] = last[1]
+                for product in last[1]:
+                    fold(name, product)
 
         forward_exits(model, batch, branches, tap=tap, ops=kernels)
-        return grams
 
-    for start in range(0, calib_tokens.shape[0], EVAL_BATCH):
-        batch = calib_tokens[start:start + EVAL_BATCH]
-        for grams in map_groups(lambda a, b: group_grams(batch[a:b]), len(batch), CALIB_CHUNK):
-            for name, products in grams.items():
-                for product in products:
-                    calib.add_gram(name, product)
+    step = parallel.MIN_GROUP * parallel.usable_cpus()
+    for start in range(0, calib_tokens.shape[0], step):
+        batch = calib_tokens[start:start + step]
+
+        def group(a: int, b: int) -> list[tuple[str, np.ndarray]]:
+            # the first group folds its products as it makes them; any other
+            # holds them until the groups before it are folded
+            held = []
+            group_grams(batch[a:b], calib.add_gram if a == 0 else
+                        lambda name, product: held.append((name, product)))
+            return held
+
+        for held in parallel.map_groups(group, len(batch), CALIB_CHUNK):
+            for name, product in held:
+                calib.add_gram(name, product)
     return calib
 
 

@@ -3,9 +3,10 @@
 Evaluation trains nothing, so its forward runs on the raw kernels of
 `familykit.kernels` and builds no graph; the logits and the loss are the
 values the autodiff path of training computes, bit for bit. Each batch's
-windows are split into one group per CPU (`familykit.parallel`); the
-forward and the per-position NLL are row-stable, and the batch's mean is
-taken over the groups' NLLs in window order, so the split changes no bit.
+windows are split into at most one group per CPU (`familykit.parallel`);
+the forward and the per-position NLL are row-stable, and the batch's mean
+is taken over the groups' NLLs in window order, so the split changes no
+bit.
 """
 
 from __future__ import annotations

@@ -177,11 +177,11 @@ def test_criterion_05_compression_accounting(pipeline):
     ok = abs(achieved - 0.4) <= 0.02
     # the exit code enforces the same bound: an unachievable budget must
     # raise the numeric error the CLI maps to a nonzero exit
-    from familykit.compression import CalibrationSet, build_plan
+    from familykit.compression import CalibrationSet, build_plan, gram
     grown, _, _ = load_checkpoint(pipeline["expand"] / "checkpoint")
     rigged = CalibrationSet()
-    rigged.add("exits.0.blocks.1.w_q",
-               np.random.default_rng(0).standard_normal((1, 64, 32)))
+    rigged.add_gram("exits.0.blocks.1.w_q",
+                    gram(np.random.default_rng(0).standard_normal((1, 64, 32))))
     with pytest.raises(NumericError):
         build_plan(grown, rigged, 0.04)
     report(5, "compression-accounting", ok,

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from familykit import compression, kernels
-from familykit.compression import (CalibrationSet, allocate_ratios, apply_compression,
-                                   build_plan, capture_activations, decompose, group_of,
+from familykit import compression, kernels, parallel
+from familykit.compression import (CALIB_CHUNK, CalibrationSet, allocate_ratios,
+                                   apply_compression, build_plan, capture_activations,
+                                   decompose, gram, group_of,
                                    inverted_log_score, rank_for_ratio, ridged,
                                    truncation_loss, whiten)
 from familykit.errors import ConfigError, DefinitenessError, IntegrityError
@@ -50,7 +51,7 @@ def test_gram_of_one_hot_sample():
     calib = CalibrationSet()
     e2 = np.zeros(5)
     e2[2] = 1.0
-    calib.add("w", e2[None, None])
+    calib.add_gram("w", gram(e2[None, None]))
     assert np.array_equal(calib.grams["w"], np.outer(e2, e2))
 
 
@@ -76,20 +77,26 @@ def test_capture_scope_and_accumulation(expanded):
 def test_capture_runs_only_the_branches_in_scope(expanded, monkeypatch, scope):
     # branch k for a matrix under exits.k., the final branch for a backbone
     # matrix; the Grams are those of a pass over every branch, bit for bit
-    calib_tokens = np.random.default_rng(33).integers(0, 256, (10, 24))
+    calib_tokens = np.random.default_rng(33).integers(0, 256, (40, 24))
     full = CalibrationSet()
-    for window in (calib_tokens[:8], calib_tokens[8:]):
-        forward_exits(expanded, window, [0, 1], ops=kernels,
-                      tap=lambda name, x: full.add(name, x) if name in scope else None)
+
+    def tap(name, x):
+        if name in scope:
+            full.add_gram(name, gram(x))
+    for start in range(0, 40, CALIB_CHUNK):
+        forward_exits(expanded, calib_tokens[start:start + CALIB_CHUNK], [0, 1], ops=kernels,
+                      tap=tap)
     ran = []
 
     def recorded(model, tokens, branches, **kwargs):
-        ran.append(branches)
+        ran.append((len(tokens), branches))
         return forward_exits(model, tokens, branches, **kwargs)
     monkeypatch.setattr(compression, "forward_exits", recorded)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     calib = capture_activations(expanded, calib_tokens, scope.__contains__)
     want = sorted({int(n.split(".")[1]) if n.startswith("exits.") else 1 for n in scope})
-    assert ran == [want, want]  # two windows of at most 8 sequences
+    # batches of 16 windows per CPU: two groups of 16, then one of 8
+    assert sorted(ran) == [(8, want), (16, want), (16, want)]
     assert set(calib.grams) == scope
     for name in scope:
         assert np.array_equal(calib.grams[name], full.grams[name])
@@ -450,7 +457,7 @@ def test_budget_miss_raises(expanded):
     # its rank grid only offers 0% or >= 6.25%
     calib = CalibrationSet()
     x = rand((32, 64), 57)
-    calib.add("exits.0.blocks.1.w_q", x.T[None])
+    calib.add_gram("exits.0.blocks.1.w_q", gram(x.T[None]))
     import familykit.compression as comp
     with pytest.raises(comp.NumericError):
         build_plan(expanded, calib, 0.04)

@@ -252,8 +252,8 @@ def test_worker_count_changes_no_bit_on_random_families(family, data):
     cfg = model.config
     window = data.draw(st.integers(2, cfg.ctx_len))
     # one window, counts that are no multiple of 8 or of the worker count,
-    # and more than one eval batch
-    n_windows = data.draw(st.sampled_from([1, 5, 7, 8, 13, EVAL_BATCH + 3]))
+    # and more than one eval batch; under 2 * MIN_GROUP windows, one group
+    n_windows = data.draw(st.sampled_from([1, 13, 37, 53, EVAL_BATCH + 3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     ids = rng.integers(0, cfg.vocab, n_windows * window + data.draw(st.integers(0, window - 1)))
     calib = ids[:n_windows * window].reshape(n_windows, window)

@@ -1,7 +1,8 @@
-"""Window groups: one per usable CPU, in window order, errors as raised.
+"""Window groups: at most one per usable CPU and none under MIN_GROUP
+windows, in window order, errors as raised.
 
 The worker count is substituted by patching `parallel.usable_cpus`, the one
-place it is read. Bit-equality of eval and calibration at 1, 2 and 3
+function that reads it. Bit-equality of eval and calibration at 1, 2 and 3
 workers over random families is in `test_family_properties.py`.
 """
 
@@ -23,30 +24,34 @@ def workers(k: int):
     return mock.patch.object(parallel, "usable_cpus", lambda: k)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17, 64, 67])
-@pytest.mark.parametrize("unit", [1, 3, 8])
+MIN = parallel.MIN_GROUP
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 32, 33, 47, 48, 64, 67, 100])
+@pytest.mark.parametrize("unit", [1, 4, 8, 16])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_group_bounds_cover_the_windows_in_whole_units(n, unit, k):
     with workers(k):
         bounds = parallel.group_bounds(n, unit)
-    units = -(-n // unit)
-    assert len(bounds) == min(k, units)
+    assert len(bounds) == max(1, min(k, n // MIN))
     assert bounds[0][0] == 0 and bounds[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     assert all(stop % unit == 0 for _, stop in bounds[:-1])
-    sizes = [-(-(stop - start) // unit) for start, stop in bounds]
-    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    assert len(bounds) == 1 or min(stop - start for start, stop in bounds) >= MIN
+    whole = [(stop - start) // unit for start, stop in bounds]
+    assert whole == sorted(whole, reverse=True) and whole[0] - whole[-1] <= 1
 
 
 def test_usable_cpus_is_the_affinity_mask():
     assert parallel.usable_cpus() == len(parallel.os.sched_getaffinity(0))
 
 
-def test_one_group_runs_inline():
+@pytest.mark.parametrize("k, n", [(1, 3 * MIN), (4, MIN - 1), (4, 2 * MIN - 1)])
+def test_one_group_runs_inline(k, n):
     caller = threading.get_ident()
-    with workers(1):
-        assert parallel.map_groups(lambda a, b: (a, b, threading.get_ident()), 9, 2) == [
-            (0, 9, caller)]
+    with workers(k):
+        assert parallel.map_groups(lambda a, b: (a, b, threading.get_ident()), n, 2) == [
+            (0, n, caller)]
 
 
 def test_results_come_back_in_window_order():
@@ -54,9 +59,10 @@ def test_results_come_back_in_window_order():
         time.sleep(0.05 if a == 0 else 0.0)
         return list(range(a, b))
 
+    n = 3 * MIN + 5
     with workers(3):
-        groups = parallel.map_groups(slow_first, 10, 2)
-    assert [w for g in groups for w in g] == list(range(10))
+        groups = parallel.map_groups(slow_first, n, 2)
+    assert [w for g in groups for w in g] == list(range(n))
     assert len(groups) == 3
 
 
@@ -64,25 +70,17 @@ def test_the_first_error_in_window_order_is_raised_after_every_group_ends():
     finished = []
 
     def fail_late_groups(a, b):
-        if a:
-            time.sleep(0.05 * (4 - a))
-            finished.append(a)
-            raise KeyError(f"group {a}")
-        return a
+        group = a // MIN
+        if group:
+            time.sleep(0.05 * (4 - group))
+            finished.append(group)
+            raise KeyError(f"group {group}")
+        return group
 
     with workers(4), pytest.raises(KeyError) as info:
-        parallel.map_groups(fail_late_groups, 4)
+        parallel.map_groups(fail_late_groups, 4 * MIN)
     assert info.value.args == ("group 1",)
     assert sorted(finished) == [1, 2, 3]
-
-
-def test_groups_run_in_the_callers_numpy_error_state():
-    def overflow(a, b):
-        return np.float32(3e38) * np.float32(10)
-
-    for k in (1, 3):
-        with workers(k), np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            parallel.map_groups(overflow, 3)
 
 
 def _raised(fn, k):
@@ -93,10 +91,11 @@ def _raised(fn, k):
 
 @pytest.mark.parametrize("where", [-1, -3])
 def test_worker_errors_surface_as_the_serial_code_raises_them(where):
-    # a token id >= vocab in the last window(s): the last group's forward fails
+    # a token id >= vocab in the last window(s): the last group's forward
+    # fails, in a last batch of two groups (eval) or two or three (calibration)
     cfg = desk_config()
     model = init_model(cfg, seed=5)
-    n_windows = EVAL_BATCH + 5
+    n_windows = EVAL_BATCH + 2 * MIN
     ids = np.random.default_rng(1).integers(0, cfg.vocab, (n_windows, cfg.ctx_len))
     ids[where, -1] = cfg.vocab
     calls = {"eval": lambda: branch_nll(model, ids.reshape(-1), 1),
