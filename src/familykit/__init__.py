@@ -7,11 +7,10 @@ exits. Pure numpy, deterministic end to end.
 """
 
 from .checkpoint import config_fingerprint, load_checkpoint, save_checkpoint
-from .compression import (CalibrationSet, CompressionPlan, CompressionReport,
-                          Decomposition, WhitenFactors, allocate_ratios,
-                          apply_compression, build_plan, capture_activations,
-                          decompose, inverted_log_score, measure_compression,
-                          truncation_loss, whiten)
+from .compression import (CompressionPlan, CompressionReport, Decomposition,
+                          WhitenFactors, allocate_ratios, apply_compression, build_plan,
+                          capture_activations, decompose, inverted_log_score,
+                          measure_compression, truncation_loss, whiten)
 from .config import CompressionConfig, Paths, RunConfig, build_run_config, load_run_config
 from .data import BOS, EOS, PAD, ByteTokenizer, WindowSampler, load_corpus
 from .errors import (ConfigError, DataError, DefinitenessError, DegenerateBatchError,

@@ -170,8 +170,8 @@ def cmd_compress(args) -> int:
     rng = SplitRng(cfg.seed).split("calibration")
     calib_tokens = sampler.windows[rng.permutation(sampler.n_windows)[:comp.calib_sequences]]
 
-    calib = capture_activations(model, calib_tokens, scope=scope)
-    plan = build_plan(model, calib, comp.ratio)
+    grams = capture_activations(model, calib_tokens, scope=scope)
+    plan = build_plan(model, grams, comp.ratio)
     compressed = apply_compression(model, plan)
     report = measure_compression(model, compressed, measure_ids,
                                  cfg.expansion.target_branch, plan)

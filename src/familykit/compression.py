@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,20 +53,9 @@ def gram(x: np.ndarray) -> np.ndarray:
     return x2d.T @ x2d
 
 
-@dataclass
-class CalibrationSet:
-    """Per-matrix input Gram = sum over positions of x x^T, in binary64."""
-
-    grams: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add_gram(self, name: str, product: np.ndarray) -> None:
-        # -0.0 is the exact additive identity, so a first Gram keeps its bits
-        self.grams[name] = self.grams.get(name, -0.0) + product
-
-
 def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
-                        scope) -> CalibrationSet:
-    """Accumulate input Grams for every matrix selected by `scope` over
+                        scope) -> dict[str, np.ndarray]:
+    """Input Gram of every matrix selected by `scope`, by name, over
     calibration forward passes (fixed order, no graph) of the branches that
     reach them: k for `exits.k.*`, the final branch for the backbone.
 
@@ -75,9 +63,8 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
     `CALIB_CHUNK` windows. A batch of `MIN_GROUP` windows per usable CPU is
     split into one group of whole chunks per CPU (`familykit.parallel`),
     each run in one forward that is row-stable, so the split changes no bit.
-    The first group of a batch adds its products as it makes them; each
-    other group holds its own (about `MIN_GROUP // CALIB_CHUNK` per tapped
-    array) until the groups before it are added."""
+    Each group returns its chunk products (`MIN_GROUP // CALIB_CHUNK` per
+    tapped array), and they are added group by group in window order."""
     calib_tokens = np.asarray(calib_tokens, dtype=np.int64)
     if calib_tokens.ndim == 1:
         calib_tokens = calib_tokens[None, :]
@@ -89,11 +76,10 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
                        if attr in LINEAR_SLOTS and scope(name)})
     if not branches:
         raise ConfigError("scope selected no matrices during calibration")
-    calib = CalibrationSet()
 
-    def group_grams(batch: np.ndarray, fold: Callable[[str, np.ndarray], None]) -> None:
-        """fold(name, product) for each chunk of `batch`, in chunk order per name."""
-        last = None, []
+    def chunk_products(batch: np.ndarray) -> dict[str, list[np.ndarray]]:
+        """Each tapped matrix's products, one per chunk of `batch`, in tap order."""
+        products, last = {}, (None, [])
 
         def tap(name: str, x: np.ndarray) -> None:
             nonlocal last
@@ -102,27 +88,22 @@ def capture_activations(model: FamilialModel, calib_tokens: np.ndarray,
                 # w_gate and w_up: each chunk of such an array makes one product
                 if x is not last[0]:
                     last = x, [gram(x[i:i + CALIB_CHUNK]) for i in range(0, len(x), CALIB_CHUNK)]
-                for product in last[1]:
-                    fold(name, product)
+                products[name] = last[1]
 
         forward_exits(model, batch, branches, tap=tap, ops=kernels)
+        return products
 
+    grams: dict[str, np.ndarray] = {}
     step = parallel.MIN_GROUP * parallel.usable_cpus()
     for start in range(0, calib_tokens.shape[0], step):
         batch = calib_tokens[start:start + step]
-
-        def group(a: int, b: int) -> list[tuple[str, np.ndarray]]:
-            # the first group folds its products as it makes them; any other
-            # holds them until the groups before it are folded
-            held = []
-            group_grams(batch[a:b], calib.add_gram if a == 0 else
-                        lambda name, product: held.append((name, product)))
-            return held
-
-        for held in parallel.map_groups(group, len(batch), CALIB_CHUNK):
-            for name, product in held:
-                calib.add_gram(name, product)
-    return calib
+        for group in parallel.map_groups(lambda a, b: chunk_products(batch[a:b]),
+                                         len(batch), CALIB_CHUNK):
+            for name, chunks in group.items():
+                for product in chunks:
+                    # -0.0 is the exact additive identity, so a first Gram keeps its bits
+                    grams[name] = grams.get(name, -0.0) + product
+    return grams
 
 
 def ridged(gram: np.ndarray) -> np.ndarray:
@@ -289,11 +270,12 @@ def group_of(name: str) -> str:
     return "heads" if name.endswith(".lm_proj") else name.rsplit(".", 1)[0]
 
 
-def build_plan(model: FamilialModel, calib: CalibrationSet,
+def build_plan(model: FamilialModel, grams: dict[str, np.ndarray],
                target_ratio: float) -> CompressionPlan:
-    """Eq-driven per-matrix ratios, floor ranks, then a rank repair pass so
-    the achieved removal over the scope lands within 2% of target."""
-    names = sorted(calib.grams)
+    """Eq-driven per-matrix ratios from the input Grams by matrix name, floor
+    ranks, then a rank repair pass so the achieved removal over the scope
+    lands within 2% of target."""
+    names = sorted(grams)
     params = dict(named_parameters(model))
     factored = [n for n in names if n not in params]
     if factored:  # a factored slot cannot be planned again
@@ -304,7 +286,7 @@ def build_plan(model: FamilialModel, calib: CalibrationSet,
     whitened: dict[bytes, WhitenFactors] = {}
     decomps = {}
     for n in names:
-        gram = ridged(calib.grams[n])
+        gram = ridged(grams[n])
         key = gram.tobytes()
         if key not in whitened:
             whitened[key] = whiten(gram)

@@ -236,7 +236,7 @@ def _eval_and_calibration_bits(model, ids, window, calib):
     nll = [(np.float64(total).tobytes(), count) for total, count in
            (branch_nll(model, ids, k, window) for k in range(model.config.n_branches))]
     calibration = capture_activations(model, calib, scope)
-    grams = {name: g.tobytes() for name, g in calibration.grams.items()}
+    grams = {name: g.tobytes() for name, g in calibration.items()}
     try:
         plan = build_plan(model, calibration, 0.4)
     except NumericError as exc:  # tiny matrices may miss the budget: then equally
