@@ -22,11 +22,6 @@ class ByteTokenizer:
     on decode.
     """
 
-    vocab_size = VOCAB_SIZE
-    bos = BOS
-    eos = EOS
-    pad = PAD
-
     def encode(self, data: bytes | str) -> np.ndarray:
         if isinstance(data, str):
             data = data.encode("utf-8")

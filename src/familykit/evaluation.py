@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError
 from .model import FamilialModel, forward_exits
 from .parallel import map_groups
 from .tensor import k_nll, mean_nll
-from .training import IGNORE_INDEX, targets_for
+from .training import targets_for
 
 EVAL_BATCH = 64
 
@@ -43,7 +43,7 @@ def branch_nll(model: FamilialModel, ids: np.ndarray, branch: int,
 
         def group_nll(a: int, b: int) -> np.ndarray:
             logits = forward_exits(model, batch[a:b], [branch], ops=kernels)[0]
-            return k_nll(logits, targets[a:b], IGNORE_INDEX)
+            return k_nll(logits, targets[a:b])
 
         nll = np.concatenate(map_groups(group_nll, len(batch)))
         total += float(mean_nll(nll)) * nll.size

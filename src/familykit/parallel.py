@@ -11,6 +11,14 @@ CPU count of the process's affinity mask, and no group of several is
 smaller than `MIN_GROUP` windows. Training (whose backward products are plain
 `np.matmul` over all rows), decoding (sequential) and the identity check
 never come here.
+
+The pool is made on first use and lives as long as the process (a forked
+child makes its own). A pool per call would start its threads again for
+every batch: on a 2-vCPU host the round trip of an empty task took a
+median 35-44 us on the process-wide pool and 180-214 us through a fresh
+`ThreadPoolExecutor`, and calibration of the grown desk model (32 windows,
+about 21 ms) was 0.7-2.6 ms slower with a pool per call in 5 of 6
+alternating runs.
 """
 
 from __future__ import annotations

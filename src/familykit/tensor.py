@@ -39,11 +39,19 @@ Importing this module sets both thresholds high once, through `mallopt`,
 so freed arrays stay mapped for the next step; `HEAP_NOT_KEPT` says why
 not where that did not apply. Only where arrays live changes, never a
 value.
+
+A BLAS product run on several threads may split its sums by the thread
+count, and so the CPU count, and then a Cholesky factor, its inverse and
+everything built from them differ in the last bits between hosts. Importing
+this module also sets numpy's bundled OpenBLAS to one thread, through its
+own setter, whatever `OPENBLAS_NUM_THREADS` says; `BLAS_NOT_PINNED` says why
+not where that build has no such library or setter.
 """
 
 from __future__ import annotations
 
 import ctypes
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,6 +81,29 @@ def _keep_freed_heap() -> str | None:
 
 # None: freed arrays stay mapped between train steps; otherwise the reason they do not
 HEAP_NOT_KEPT: str | None = _keep_freed_heap()
+
+
+def _one_blas_thread() -> str | None:
+    """Run numpy's bundled OpenBLAS on one thread; None if that applied, else why not."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_-*.so"))
+    if not found:
+        return f"numpy bundles no scipy-openblas library in {libs}"
+    try:  # numpy has loaded this library already: this is the same copy
+        lib = ctypes.CDLL(str(found[0]))
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError) as exc:
+        return f"the bundled OpenBLAS has no thread-count setter ({exc})"
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+    set_threads(1)
+    threads = get_threads()
+    return None if threads == 1 else f"OpenBLAS kept {threads} threads"
+
+
+# None: numpy's BLAS runs one thread, so no value depends on the CPU count; otherwise why not
+BLAS_NOT_PINNED: str | None = _one_blas_thread()
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +333,13 @@ def k_embedding(table: Array, ids: Array) -> Array:
     return table[ids]
 
 
-def k_nll(logits: Array, targets: Array, ignore_index: int = -1) -> Array:
-    """Negative log-softmax of the target class at each non-ignored
-    position, in position order: a 1-d float64 array, empty if every
-    position is ignored.
+IGNORE_INDEX = -1  # the target of a position that is not scored
+
+
+def k_nll(logits: Array, targets: Array) -> Array:
+    """Negative log-softmax of the target class at each position whose
+    target is not `IGNORE_INDEX`, in position order: a 1-d float64 array,
+    empty if every position is ignored.
 
     Each position's value is computed from its own row alone, in float64,
     so it does not depend on the rows computed with it.
@@ -314,7 +348,7 @@ def k_nll(logits: Array, targets: Array, ignore_index: int = -1) -> Array:
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(f"targets {targets.shape} do not match logits {logits.shape[:-1]}")
     vocab = logits.shape[-1]
-    kflat = (targets != ignore_index).reshape(-1)
+    kflat = (targets != IGNORE_INDEX).reshape(-1)
     kept = targets.reshape(-1)[kflat]
     if kept.size and (kept.min() < 0 or kept.max() >= vocab):
         raise InputError("target id outside [0, vocab)")
@@ -336,11 +370,6 @@ def mean_nll(nll: Array) -> np.float64:
     if not nll.size:
         raise DegenerateBatchError("cross_entropy over zero effective positions")
     return np.float64(nll.sum() / nll.size)
-
-
-def k_cross_entropy(logits: Array, targets: Array, ignore_index: int = -1) -> np.float64:
-    """Mean negative log-softmax of target classes over non-ignored positions."""
-    return mean_nll(k_nll(logits, targets, ignore_index))
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +628,12 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
     return _make(out_data, (table,), bwd)
 
 
-def cross_entropy(logits: Tensor, targets: Array, ignore_index: int = -1) -> Tensor:
-    """`k_cross_entropy` as a float64 scalar Tensor with its gradient."""
-    loss = k_cross_entropy(logits.data, targets, ignore_index)
+def cross_entropy(logits: Tensor, targets: Array) -> Tensor:
+    """`mean_nll` of `k_nll` as a float64 scalar Tensor, with its gradient."""
+    loss = mean_nll(k_nll(logits.data, targets))
     vocab = logits.data.shape[-1]
     tflat = np.asarray(targets).reshape(-1)
-    kflat = tflat != ignore_index
+    kflat = tflat != IGNORE_INDEX
 
     def bwd(g: Array) -> None:
         p = k_softmax(logits.data.reshape(-1, vocab), axis=-1).astype(np.float64)

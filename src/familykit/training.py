@@ -20,11 +20,9 @@ import numpy as np
 from .data import PAD, WindowSampler
 from .errors import ConfigError, DivergenceError
 from .model import FamilialModel, finite, forward_all_branches, named_parameters
-from .tensor import Tensor, add, backward, cross_entropy, scale
+from .tensor import IGNORE_INDEX, Tensor, add, backward, cross_entropy, scale
 
 log = logging.getLogger(__name__)
-
-IGNORE_INDEX = -1
 
 LAMBDA_KINDS = ("constant", "linear_decay", "cosine_decay")
 
@@ -208,7 +206,7 @@ def train_step(state: TrainState, batch: np.ndarray) -> StepMetrics:
 
     logits = forward_all_branches(model, batch)
     targets = targets_for(batch)
-    losses = [cross_entropy(lg, targets, ignore_index=IGNORE_INDEX) for lg in logits]
+    losses = [cross_entropy(lg, targets) for lg in logits]
     total = joint_loss(losses, lambdas)
     loss_values = [float(l.data) for l in losses]
     if not all(np.isfinite(loss_values)) or not np.isfinite(float(total.data)):

@@ -6,6 +6,8 @@ function that reads it. Bit-equality of eval and calibration at 1, 2 and 3
 workers over random families is in `test_family_properties.py`.
 """
 
+import os
+import signal
 import threading
 import time
 from unittest import mock
@@ -52,6 +54,32 @@ def test_one_group_runs_inline(k, n):
     with workers(k):
         assert parallel.map_groups(lambda a, b: (a, b, threading.get_ident()), n, 2) == [
             (0, n, caller)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_forked_child_runs_groups_on_a_pool_of_its_own():
+    # the child has none of the parent's pool threads: work it handed to the
+    # parent's pool would wait in a queue that no thread of the child takes from
+    def two_groups():
+        return parallel.map_groups(lambda a, b: (a, b), 2 * MIN) == [(0, MIN), (MIN, 2 * MIN)]
+
+    with workers(2):
+        assert two_groups()  # the pool exists before the fork
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = two_groups()
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 20
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's groups did not finish in 20 s")
+            time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def test_results_come_back_in_window_order():

@@ -211,7 +211,7 @@ def test_cross_entropy_logsumexp_oracle():
     logits = rand((2, 4, 7), 9)
     targets = np.random.default_rng(10).integers(0, 7, (2, 4))
     targets[0, 1] = -1  # ignored
-    loss = float(cross_entropy(Tensor(logits), targets, ignore_index=-1).data)
+    loss = float(cross_entropy(Tensor(logits), targets).data)
     acc, n = 0.0, 0
     for b in range(2):
         for t in range(4):
@@ -226,7 +226,7 @@ def test_cross_entropy_logsumexp_oracle():
 
 def test_cross_entropy_empty_batch():
     with pytest.raises(DegenerateBatchError):
-        cross_entropy(Tensor(rand((1, 2, 4))), np.full((1, 2), -1), ignore_index=-1)
+        cross_entropy(Tensor(rand((1, 2, 4))), np.full((1, 2), -1))
 
 
 def test_cross_entropy_bad_target():
@@ -448,8 +448,8 @@ def test_grad_embedding_and_cross_entropy():
     proj = Tensor(rand((4, 5), 13, np.float64), requires_grad=True, dtype=np.float64)
     ids = np.array([[0, 3, 6, 3]])
     targets = np.array([[3, 4, 0, -1]])
-    fd_check(lambda: cross_entropy(matmul(embedding(table, ids), proj), targets,
-                                   ignore_index=-1), [table, proj])
+    fd_check(lambda: cross_entropy(matmul(embedding(table, ids), proj), targets),
+             [table, proj])
 
 
 def test_grad_reshape():

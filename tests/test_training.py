@@ -19,9 +19,9 @@ from familykit.errors import ConfigError, DivergenceError
 from familykit.model import (copy_model, desk_config, forward_all_branches, init_model,
                              named_parameters, set_freeze)
 from familykit.tensor import Tensor, backward, cross_entropy
-from familykit.training import (IGNORE_INDEX, LambdaSchedule, TrainConfig, TrainState,
-                                joint_loss, lambda_at, lr_at, metrics_csv, metrics_rows,
-                                run_training, targets_for, train_step)
+from familykit.training import (LambdaSchedule, TrainConfig, TrainState, joint_loss,
+                                lambda_at, lr_at, metrics_csv, metrics_rows, run_training,
+                                targets_for, train_step)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_one_hot_weights_leave_deep_layers_without_gradient():
     batch = _batch(1, (2, 10), 259)
     logits = forward_all_branches(model, batch)
     targets = targets_for(batch)
-    losses = [cross_entropy(lg, targets, IGNORE_INDEX) for lg in logits]
+    losses = [cross_entropy(lg, targets) for lg in logits]
     backward(joint_loss(losses, [1.0, 0.0]))
     for name, p in named_parameters(model):
         grad = p.grad
@@ -176,7 +176,7 @@ def test_lambda_doubling_scales_branch_gradients_exactly():
 
     def grads(weight0):
         logits = forward_all_branches(model, batch)
-        losses = [cross_entropy(lg, targets, IGNORE_INDEX) for lg in logits]
+        losses = [cross_entropy(lg, targets) for lg in logits]
         backward(joint_loss(losses, [weight0, 1.0]))
         out = {n: p.grad.copy() for n, p in named_parameters(model)
                if n.startswith("exits.0.") and p.grad is not None}
@@ -284,7 +284,7 @@ def test_k1_reduces_to_plain_causal_lm_with_adamw_oracle():
     for step in range(tc.total_steps):
         batch = sampler.batch_at(step)
         logits = forward_all_branches(ref, batch)[0]
-        loss = cross_entropy(logits, targets_for(batch), IGNORE_INDEX)
+        loss = cross_entropy(logits, targets_for(batch))
         ref_losses.append(float(loss.data))
         backward(loss)
         sq = sum(float(np.sum(np.square(p.grad.astype(np.float64))))
@@ -395,3 +395,31 @@ def test_heap_setting_reports_why_it_did_not_apply(monkeypatch):
 
     monkeypatch.setattr(tensor.ctypes, "CDLL", NoMallopt)
     assert "no mallopt" in tensor._keep_freed_heap()
+
+
+def test_import_runs_numpy_blas_on_one_thread():
+    """A fresh process that asks OpenBLAS for 2 threads and imports familykit
+    reads back 1, so compression's factors do not follow the host's CPU count.
+    OpenBLAS caps its thread count at the usable CPUs, so on a 1-CPU runner
+    the child reads 1 with or without the setting and this test cannot fail."""
+    if tensor.BLAS_NOT_PINNED:
+        pytest.skip(tensor.BLAS_NOT_PINNED)
+    src = str(Path(familykit.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = ("import ctypes, pathlib, numpy, familykit\n"
+             "lib, = (pathlib.Path(numpy.__file__).resolve().parent.parent / 'numpy.libs')"
+             ".glob('libscipy_openblas64_-*.so')\n"
+             "print(ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_())\n")
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "1"
+
+
+def test_blas_setting_reports_why_it_did_not_apply(monkeypatch):
+    class NoSetter:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", NoSetter)
+    assert "no thread-count setter" in tensor._one_blas_thread()
