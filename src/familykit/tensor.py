@@ -40,12 +40,12 @@ so freed arrays stay mapped for the next step; `HEAP_NOT_KEPT` says why
 not where that did not apply. Only where arrays live changes, never a
 value.
 
-A BLAS product run on several threads may split its sums by the thread
-count, and so the CPU count, and then a Cholesky factor, its inverse and
-everything built from them differ in the last bits between hosts. Importing
-this module also sets numpy's bundled OpenBLAS to one thread, through its
-own setter, whatever `OPENBLAS_NUM_THREADS` says; `BLAS_NOT_PINNED` says why
-not where that build has no such library or setter.
+OpenBLAS runs one thread per CPU by default, and LAPACK's blocked
+Cholesky and the inverse of its factor gave other last bits on two threads
+than on one, so a compression plan followed the host's CPU count. Importing
+this module also sets numpy's bundled OpenBLAS to one thread, through the
+library's own setter, whatever `OPENBLAS_NUM_THREADS` says; `BLAS_NOT_PINNED`
+says why not where numpy has no such library or setter.
 """
 
 from __future__ import annotations
@@ -90,16 +90,12 @@ def _one_blas_thread() -> str | None:
     if not found:
         return f"numpy bundles no scipy-openblas library in {libs}"
     try:  # numpy has loaded this library already: this is the same copy
-        lib = ctypes.CDLL(str(found[0]))
-        set_threads = lib.scipy_openblas_set_num_threads64_
-        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = ctypes.CDLL(str(found[0])).scipy_openblas_set_num_threads64_
     except (OSError, AttributeError) as exc:
         return f"the bundled OpenBLAS has no thread-count setter ({exc})"
     set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
     set_threads(1)
-    threads = get_threads()
-    return None if threads == 1 else f"OpenBLAS kept {threads} threads"
+    return None
 
 
 # None: numpy's BLAS runs one thread, so no value depends on the CPU count; otherwise why not
