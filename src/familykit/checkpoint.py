@@ -38,9 +38,8 @@ WEIGHTS = "weights.bin"
 OPTIM = "optim.bin"
 
 
-def config_fingerprint(config: FamilyConfig | dict) -> str:
-    d = config.to_dict() if isinstance(config, FamilyConfig) else config
-    blob = json.dumps(d, sort_keys=True).encode("utf-8")
+def config_fingerprint(config: FamilyConfig) -> str:
+    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -27,7 +27,7 @@ from .config import Paths, load_run_config, parse_overrides
 from .data import BOS, ByteTokenizer, WindowSampler, load_corpus
 from .errors import (ConfigError, DataError, FamilyKitError, IntegrityError,
                      NumericError)
-from .evaluation import branch_perplexity
+from .evaluation import branch_nll
 from .expansion import (INIT_MODES, cosine_csv_rows, expand, grown_scope,
                         layer_cosine_similarity, verify_identity)
 from .inference import ExitPolicy, generate
@@ -190,8 +190,9 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     rows = ["branch,exit_depth,perplexity"]
     print(f"{'branch':>6} {'depth':>6} {'perplexity':>12}")
-    for k in range(model.config.n_branches):
-        ppl = branch_perplexity(model, ids, k, window=args.window)
+    nlls = branch_nll(model, ids, list(range(model.config.n_branches)), window=args.window)
+    for k, (total, count) in enumerate(nlls):
+        ppl = float(np.exp(total / count))
         rows.append(f"{k},{model.config.exit_depths[k]},{ppl:.9g}")
         print(f"{k:>6} {model.config.exit_depths[k]:>6} {ppl:>12.4f}")
     write_file(out / "eval.csv", "\n".join(rows) + "\n")
@@ -237,8 +238,7 @@ def cmd_export(args) -> int:
     out = _out_dir(args)
     sub = extract_submodel(model, args.branch)
     save_checkpoint(out / "checkpoint", sub, seed)
-    counts = param_count(sub)
-    print(f"exported branch {args.branch}: {counts['total']} parameters "
+    print(f"exported branch {args.branch}: {param_count(sub)} parameters "
           f"-> {out / 'checkpoint'}")
     return EXIT_OK
 

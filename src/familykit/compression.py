@@ -173,10 +173,9 @@ class Decomposition:
         return a, b
 
 
-def decompose(w: np.ndarray, gram: np.ndarray | WhitenFactors) -> Decomposition:
-    """One whitening (none if `gram` is given as its factors) and one SVD;
-    every rank's factors and loss are read off it."""
-    wf = gram if isinstance(gram, WhitenFactors) else whiten(gram)
+def decompose(w: np.ndarray, wf: WhitenFactors) -> Decomposition:
+    """One SVD of W in the basis that `wf` whitens; every rank's factors
+    and loss are read off it."""
     u, s, vt = svd_array(np.asarray(w, dtype=np.float64) @ wf.factor)
     return Decomposition(u=u, s=s, vt=vt, inverse=wf.inverse)
 
@@ -307,22 +306,17 @@ def build_plan(model: FamilialModel, grams: dict[str, np.ndarray],
         return sum((dims[n][0] + dims[n][1]) * rk[n] for n in names)
 
     # integer rank repair: floor rounding alone can overshoot the removal
-    # target by more than 2% at small sizes
+    # target by more than 2% at small sizes. Each step takes the legal +-1
+    # move that leaves the smallest |error|; names are sorted and -1 < 1, so
+    # the tuple order makes the first move in name order win a tie
     while True:
         err = after(ranks) - target_after
-        best = None
-        for n in names:
-            for delta in (-1, 1):
-                r = ranks[n] + delta
-                if not 1 <= r <= min(dims[n]):
-                    continue
-                new_err = err + delta * (dims[n][0] + dims[n][1])
-                if abs(new_err) < abs(err) - 1e-9:
-                    if best is None or abs(new_err) < abs(best[2]):
-                        best = (n, delta, new_err)
-        if best is None:
+        new_err, n, delta = min(((abs(err + d * sum(dims[m])), m, d) for m in names
+                                 for d in (-1, 1) if 1 <= ranks[m] + d <= min(dims[m])),
+                                default=(math.inf, None, 0))
+        if new_err >= abs(err) - 1e-9:
             break
-        ranks[best[0]] += best[1]
+        ranks[n] += delta
 
     entries = []
     factors = {}
@@ -406,7 +400,7 @@ def measure_compression(base: FamilialModel, compressed: FamilialModel,
         branch=branch,
         ppl_base=branch_perplexity(base, eval_tokens, branch),
         ppl_compressed=branch_perplexity(compressed, eval_tokens, branch),
-        params_base=param_count(base)["total"],
-        params_compressed=param_count(compressed)["total"],
+        params_base=param_count(base),
+        params_compressed=param_count(compressed),
         plan=plan,
     )

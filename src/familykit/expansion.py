@@ -98,13 +98,13 @@ def expand(model: FamilialModel, spec: ExpansionSpec) -> tuple[FamilialModel, Ex
     cfg = model.config
     grown_config, grown = grown_scope(cfg, spec)
     expanded = copy_model(model)
-    before = param_count(expanded)["total"]
+    before = param_count(expanded)
     for i in range(spec.n_new_blocks):
         expanded.exits[spec.target_branch].blocks.append(_new_block(cfg, expanded, spec, i))
     expanded.config = grown_config
     frozen = set_freeze(expanded, lambda name: not grown(name))
 
-    added = param_count(expanded)["total"] - before
+    added = param_count(expanded) - before
     report = ExpansionReport(
         added_params=added,
         trainable=sorted(n for n, f in frozen.items() if not f),

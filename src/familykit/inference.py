@@ -1,6 +1,6 @@
 """Confidence-thresholded early-exit decoding with shared KV state.
 
-Per new token the allowed exits are evaluated shallow to deep; the first
+Per new token the exits are evaluated shallow to deep; the first
 whose max softmax probability reaches the threshold emits, otherwise the
 final exit does. Every block keeps a KV cache, its output rows and a
 frontier (the positions it has run), so a (position, block) pair runs
@@ -42,7 +42,7 @@ import numpy as np
 from . import kernels
 from .data import EOS
 from .errors import ConfigError, InputError
-from .model import BlockWeights, FamilialModel, FamilyConfig, block_forward, head_logits
+from .model import BlockWeights, FamilialModel, block_forward, head_logits
 from .rng import SplitRng
 from .tensor import ROW_TILE, causal_mask, k_softmax, rope_tables
 
@@ -52,20 +52,12 @@ class ExitPolicy:
     """Early-exit decoding policy: threshold on max softmax probability."""
 
     threshold: float
-    allowed_exits: tuple[int, ...] = ()
     mode: str = "greedy"            # "greedy" | "sample"
     temperature: float = 1.0
     seed: int = 0
     backfill: str = "lazy"          # "lazy" | "always"
 
-    def resolve_exits(self, cfg: FamilyConfig) -> tuple[int, ...]:
-        exits = tuple(sorted(self.allowed_exits)) or tuple(range(cfg.n_branches))
-        if not exits or exits[-1] != cfg.n_branches - 1:
-            raise ConfigError("allowed exits must be nonempty and include the final branch")
-        if any(not 0 <= e < cfg.n_branches for e in exits):
-            raise ConfigError("allowed exit out of range")
-        if len(set(exits)) != len(exits):
-            raise ConfigError(f"allowed exits must be distinct, got {self.allowed_exits}")
+    def validate(self) -> None:
         if self.mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown decode mode {self.mode!r}")
         if self.backfill not in ("lazy", "always"):
@@ -76,7 +68,6 @@ class ExitPolicy:
             raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed}")
-        return exits
 
 
 @dataclass
@@ -244,23 +235,28 @@ class GenState:
 
 def _decode_token(logits: np.ndarray, policy: ExitPolicy, u: float) -> int:
     """Greedy argmax, or the inverse CDF of the tempered softmax at the
-    step's uniform `u`."""
+    step's uniform `u`. A temperature so small that the tempered logits
+    overflow leaves no distribution: that is a ConfigError."""
     if policy.mode == "greedy":
         return int(np.argmax(logits))  # argmax takes the lowest index on ties
-    probs = k_softmax(np.asarray(logits, np.float64) / policy.temperature, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as NaN below
+        probs = k_softmax(np.asarray(logits, np.float64) / policy.temperature, axis=-1)
     cdf = np.cumsum(probs)
+    if np.isnan(cdf[-1]):  # a NaN anywhere reaches the total
+        raise ConfigError(f"temperature {policy.temperature!r} overflows the tempered logits")
     cdf /= cdf[-1]
     return int(np.searchsorted(cdf, u, side="right"))
 
 
 def _verify(state: GenState, records: list[TokenRecord], undecided: list[int], base: int,
-            deeper: tuple[int, ...], policy: ExitPolicy, uniforms: list[float]) -> None:
+            policy: ExitPolicy, uniforms: list[float]) -> None:
     """Decide the drafted `records[i]` for i in `undecided` (record i
-    queries position base + i) exit by exit through `deeper`, each exit in
+    queries position base + i) exit by exit past the first, each exit in
     one call over the positions still undecided. A position that decides a
     token other than its draft takes that token and ends the window: the
     records after it are dropped, and deeper exits skip their positions."""
-    for k in deeper:
+    final = state.cfg.n_branches - 1
+    for k in range(1, final + 1):
         if not undecided:
             break
         still = []
@@ -268,7 +264,7 @@ def _verify(state: GenState, records: list[TokenRecord], undecided: list[int], b
             record = records[i]
             conf = confidence(logits)
             record.confidences.append(conf)
-            if conf < policy.threshold and k != deeper[-1]:
+            if conf < policy.threshold and k != final:
                 still.append(i)
                 continue
             token = _decode_token(logits, policy, uniforms[record.step])
@@ -293,7 +289,7 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
     notes); the trace is that of decoding one token at a time.
     """
     cfg = model.config
-    exits = policy.resolve_exits(cfg)
+    policy.validate()
     if max_new < 0:
         raise InputError(f"max_new must be >= 0, got {max_new}")
     prompt = [int(t) for t in np.asarray(prompt, dtype=np.int64).reshape(-1)]
@@ -309,7 +305,7 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
     for t in prompt:
         state.push_token(t)
     trace = GenerationTrace(prompt=list(prompt))
-    first, final = exits[0], exits[-1]
+    final = cfg.n_branches - 1
     uniforms: list[float] = []  # one per step, drawn once; a redone step reuses its own
 
     while len(trace.records) < max_new:
@@ -320,19 +316,19 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
             step = len(trace.records) + len(records)
             if step == len(uniforms):
                 uniforms.append(float(rng.uniform(())) if rng else 0.0)
-            logits = state.exit_logits(first, [state.n_positions - 1])[0]
+            logits = state.exit_logits(0, [state.n_positions - 1])[0]
             conf = confidence(logits)
             token = _decode_token(logits, policy, uniforms[step])
-            records.append(TokenRecord(step=step, token_id=token, exit_branch=first,
-                                       exit_depth=cfg.exit_depths[first], confidences=[conf]))
-            if conf < policy.threshold and first != final:
+            records.append(TokenRecord(step=step, token_id=token, exit_branch=0,
+                                       exit_depth=cfg.exit_depths[0], confidences=[conf]))
+            if conf < policy.threshold and final > 0:
                 undecided.append(len(records) - 1)
             if (token == EOS or state.n_positions >= cfg.ctx_len or step + 1 == max_new
                     or len(undecided) == ROW_TILE):
                 break
             state.push_token(token)
 
-        _verify(state, records, undecided, base, exits[1:], policy, uniforms)
+        _verify(state, records, undecided, base, policy, uniforms)
         state.rollback(base + len(records))
         trace.records += records
         trace.tokens += [r.token_id for r in records]
@@ -344,7 +340,7 @@ def generate(model: FamilialModel, prompt, policy: ExitPolicy, max_new: int,
         if policy.backfill == "always" and state.n_positions > len(prompt):
             # every position whose token has been pushed, as after each token
             state.advance_backbone(state.n_positions - 2, cfg.n_layers)
-            for k in exits:
+            for k in range(final + 1):
                 state.ensure_branch(k, state.n_positions - 2)
         if stop:
             break

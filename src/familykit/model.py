@@ -169,12 +169,10 @@ def from_fields(cls, doc: dict, where: str, **fixed):
     return cls(**doc, **fixed)
 
 
-def desk_config(**overrides) -> FamilyConfig:
+def desk_config() -> FamilyConfig:
     """Smallest configuration exercising sharing, GQA grouping and nesting."""
-    base = dict(n_layers=4, hidden=32, q_heads=4, kv_heads=2, vocab=259,
-                ctx_len=64, exit_depths=(2, 4), branch_blocks=(1, 1))
-    base.update(overrides)
-    return FamilyConfig(**base)
+    return FamilyConfig(n_layers=4, hidden=32, q_heads=4, kv_heads=2, vocab=259,
+                        ctx_len=64, exit_depths=(2, 4), branch_blocks=(1, 1))
 
 
 @dataclass
@@ -346,19 +344,9 @@ def from_parameters(config: FamilyConfig, params: dict[str, Tensor]) -> Familial
     return model
 
 
-def param_count(model: FamilialModel) -> dict:
-    """Exact integer parameter counts by component."""
-    def count(names_params):
-        return int(sum(p.data.size for _, p in names_params))
-
-    named = named_parameters(model)
-    backbone = count((n, p) for n, p in named if n.startswith("backbone."))
-    emb = count((n, p) for n, p in named if n == "embedding")
-    exits = []
-    for k in range(len(model.exits)):
-        exits.append(count((n, p) for n, p in named if n.startswith(f"exits.{k}.")))
-    return {"embedding": emb, "backbone": backbone, "exits": exits,
-            "total": emb + backbone + sum(exits)}
+def param_count(model: FamilialModel) -> int:
+    """Exact integer count of the model's parameters."""
+    return sum(p.data.size for _, p in named_parameters(model))
 
 
 def set_freeze(model: FamilialModel, freeze_predicate: Callable[[str], bool]) -> dict[str, bool]:
@@ -397,10 +385,10 @@ def extract_submodel(model: FamilialModel, branch: int) -> FamilialModel:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def apply_linear(x, w: Weight, name: str | None = None,
+def apply_linear(x, w: Weight, name: str,
                  tap: Callable[[str, np.ndarray], None] | None = None,
                  ops: ModuleType = tensor):
-    if tap is not None and name is not None:
+    if tap is not None:
         tap(name, x)
     if isinstance(w, Factored):
         return ops.matmul(ops.matmul(x, ops.param(w.b)), ops.param(w.a))

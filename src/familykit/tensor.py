@@ -395,20 +395,12 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    # `+` and `*` as on arrays, so the block math runs on Tensors and arrays alike
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
+    # `+` and `*` of two Tensors, so the block math runs on Tensors and arrays alike
+    def __add__(self, other: Tensor) -> Tensor:
+        return add(self, other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
+    def __mul__(self, other: Tensor) -> Tensor:
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
 def _accumulate(t: Tensor, g: Array) -> None:

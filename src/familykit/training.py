@@ -141,7 +141,7 @@ def lr_at(config: TrainConfig, step: int) -> float:
     return config.peak_lr * (0.1 + 0.9 * 0.5 * (1.0 + math.cos(math.pi * progress)))
 
 
-def joint_loss(branch_losses, weights) -> Tensor:
+def joint_loss(branch_losses: list[Tensor], weights) -> Tensor:
     """Weighted sum of branch losses, accumulated in binary64.
 
     Zero-weight branches are left out of the graph so backward never
@@ -155,9 +155,7 @@ def joint_loss(branch_losses, weights) -> Tensor:
     for loss_k, w in zip(branch_losses, weights):
         if w == 0.0:
             continue
-        if not isinstance(loss_k, Tensor):
-            loss_k = Tensor(loss_k, dtype=np.float64)
-        elif loss_k.data.dtype != np.float64:
+        if loss_k.data.dtype != np.float64:
             raise ConfigError("branch losses must be binary64 scalars")
         terms.append(scale(loss_k, float(w)))
     if not terms:

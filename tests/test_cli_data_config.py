@@ -524,6 +524,13 @@ def _checkpoint_command(tmp_path, command) -> list[str]:
         "export": ["--branch", "0"]}[command]]
 
 
+def test_cli_generate_rejects_a_temperature_that_overflows(tmp_path):
+    # 1e-320 is finite and > 0, but the logits divided by it overflow to inf
+    argv = _checkpoint_command(tmp_path, "generate") + ["--sample", "--temperature", "1e-320"]
+    assert cli_main(argv + ["--out", str(tmp_path / "g")]) == 2
+    assert not (tmp_path / "g").exists()  # a rejected command leaves no --out behind
+
+
 @pytest.mark.parametrize("stray", ["--x=1", "garbage", "--backfill=always"],
                          ids=["override", "bare-word", "removed-flag"])
 @pytest.mark.parametrize("command", ["eval", "generate", "analyze", "export"])

@@ -2,14 +2,17 @@
 standard library, numpy or familykit itself. scipy and other packages may be
 installed next to it but are not declared, so an import of one would break
 an install that has only what pyproject.toml asks for. Every module-level
-import is also used: one that is not is left over from deleted code. Foreign
-calls stay behind one module: only `tensor` imports `ctypes`. So do threads:
-only `parallel` imports `concurrent` or `threading`. Every
-Hypothesis test in tests/ is derandomized: a failing example that a random
-run draws is stored under `.hypothesis/` and replayed by every later run in
-that checkout, so a flaky example would fail the suite there for good."""
+import is also used: one that is not is left over from deleted code. So is
+a top-level name of src that only tests reach: src or the benchmark must
+use each one. Foreign calls stay behind one module: only `tensor` imports
+`ctypes`. So do threads: only `parallel` imports `concurrent` or
+`threading`. Every Hypothesis test in tests/ is derandomized: a failing
+example that a random run draws is stored under `.hypothesis/` and replayed
+by every later run in that checkout, so a flaky example would fail the suite
+there for good."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -85,3 +88,59 @@ def test_hypothesis_tests_are_derandomized():
                     for k in d.keywords) for d in decorators):
                 random.append(f"{module.name}: {node.name}")
     assert not random, random
+
+
+BENCHMARK = TESTS.parent / "benchmark"
+
+
+def _top_level_names(tree: ast.Module):
+    """(name, first line, last line) of every top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node.lineno, node.end_lineno)
+                        for t in targets if isinstance(t, ast.Name))
+
+
+def _references(tree: ast.Module, strings: bool):
+    """(identifier, line) of every name read, attribute and imported name;
+    with `strings`, also of every identifier inside a string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from ((word, node.lineno) for word in re.findall(r"\w+", node.value))
+
+
+# import-time status for the user, documented in the README: None, or why a
+# process-wide setting of `tensor` did not apply
+STATUS_FLAGS = {"HEAP_NOT_KEPT", "BLAS_NOT_PINNED"}
+
+
+def test_src_names_are_used_outside_tests():
+    """Every top-level function, class and constant of src but the status
+    flags is referenced by another line of src or by the benchmark, the
+    strings it traces by included; the package's re-exports do not count.
+    A name that only tests reach is code that nothing runs."""
+    modules = {m.name: ast.parse(m.read_text(encoding="utf-8"))
+               for m in sorted(SRC.glob("*.py")) if m.name != "__init__.py"}
+    used_in_benchmark = {word for path in sorted(BENCHMARK.glob("*.py")) for word, _ in
+                         _references(ast.parse(path.read_text(encoding="utf-8")), True)}
+    used_in_src: dict[str, list[tuple[str, int]]] = {}  # identifier -> (module, line)
+    for module, tree in modules.items():
+        for word, line in _references(tree, False):
+            used_in_src.setdefault(word, []).append((module, line))
+    unused = []
+    for module, tree in modules.items():
+        for name, first, last in _top_level_names(tree):
+            elsewhere = any(other != module or not first <= line <= last
+                            for other, line in used_in_src.get(name, ()))
+            if not elsewhere and name not in used_in_benchmark | STATUS_FLAGS:
+                unused.append(f"{module}: {name}")
+    assert not unused, unused

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,14 @@ def test_new_block_output_exactly_zero(base_model):
 
 
 def test_added_param_count_matches_shape_oracle(base_model):
-    before = param_count(base_model)["total"]
+    before = param_count(base_model)
     spec = ExpansionSpec(target_branch=0, n_new_blocks=3, seed=4)
     grown, report = expand(base_model, spec)
     cfg = base_model.config
     h, kv, m = cfg.hidden, cfg.kv_heads * cfg.head_dim, cfg.mlp_mult * cfg.hidden
     one_block = h * h + 2 * h * kv + h * h + 2 * h * m + m * h + 2 * h
     assert report.added_params == 3 * one_block
-    assert param_count(grown)["total"] - before == report.added_params
+    assert param_count(grown) - before == report.added_params
 
 
 def test_trainable_set_is_new_blocks_plus_lm_head_exactly(base_model):
@@ -163,7 +165,7 @@ def test_non_target_branch_untouched(base_model):
 
 
 def test_vocab_mismatch_rejected(base_model):
-    other = init_model(desk_config(vocab=128), seed=11)
+    other = init_model(replace(desk_config(), vocab=128), seed=11)
     with pytest.raises(ConfigError):
         verify_identity(base_model, other, _probe(11) % 128, 0)
 

@@ -234,7 +234,7 @@ def _eval_and_calibration_bits(model, ids, window, calib):
     """Bytes of every branch's NLL sum and count, the Grams and the plan."""
     scope = dict(named_parameters(model)).__contains__  # a factored slot is out of scope
     nll = [(np.float64(total).tobytes(), count) for total, count in
-           (branch_nll(model, ids, k, window) for k in range(model.config.n_branches))]
+           branch_nll(model, ids, list(range(model.config.n_branches)), window)]
     calibration = capture_activations(model, calib, scope)
     grams = {name: g.tobytes() for name, g in calibration.items()}
     try:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import cast_model, pad_keys, tiny_config
 
 from familykit import kernels, model as fk_model, tensor
 from familykit.errors import ConfigError, InputError, IntegrityError, ShapeError
+from familykit.evaluation import branch_nll
 from familykit.model import (FamilyConfig, block_forward, desk_config,
                              extract_submodel, forward_all_branches, forward_branch,
                              forward_exits, from_parameters, init_model, named_parameters,
@@ -46,7 +49,7 @@ def test_invalid_configs_rejected(bad):
 
 
 def test_rms_eps_float32_subnormal_accepted():
-    assert desk_config(rms_eps=1e-45).rms_eps == 1e-45
+    assert replace(desk_config(), rms_eps=1e-45).rms_eps == 1e-45
 
 
 def test_unknown_config_key_rejected():
@@ -77,7 +80,8 @@ def test_branch_blocks_copied_from_following_layer():
 
 
 def test_last_exit_blocks_fall_back_to_gaussian():
-    cfg = desk_config(branch_blocks=(1, 1))
+    cfg = desk_config()
+    assert cfg.branch_blocks == (1, 1)
     model = init_model(cfg, seed=0)
     # exit 1 at depth 4 == n_layers: no following layer exists
     for i in range(cfg.n_layers):
@@ -182,6 +186,15 @@ def test_forward_all_branches_matches_each_branch_bitwise():
     outs = forward_all_branches(model, tokens)
     for k in range(2):
         assert np.array_equal(outs[k].data, forward_branch(model, tokens, k).data)
+
+
+def test_branch_nll_of_every_exit_equals_one_exit_calls():
+    # cmd_eval scores every exit in one pass; each keeps its one-exit bits
+    model = init_model(desk_config(), seed=6)
+    ids = np.random.default_rng(6).integers(0, 256, 70 * 64 + 5)  # bytes: no PAD
+    together = branch_nll(model, ids, [0, 1])
+    assert together == [branch_nll(model, ids, [k])[0] for k in (0, 1)]
+    assert together[0][1] == together[1][1] == 70 * 63
 
 
 def test_forward_all_branches_single_exit():
@@ -335,9 +348,9 @@ def test_extract_matches_branch_bitwise():
 
 def test_extract_last_branch_param_accounting():
     model = init_model(desk_config(), seed=13)
-    counts = param_count(model)
+    exit0 = sum(p.data.size for n, p in named_parameters(model) if n.startswith("exits.0."))
     sub = extract_submodel(model, 1)
-    assert param_count(sub)["total"] == counts["total"] - counts["exits"][0]
+    assert param_count(sub) == param_count(model) - exit0
 
 
 def test_extract_shallow_branch_depth():
@@ -386,22 +399,15 @@ def test_param_count_closed_form_block():
     kv = cfg.kv_heads * dh
     m = cfg.mlp_mult * h
     block = h * h + 2 * h * kv + h * h + 2 * h * m + m * h + 2 * h
-    counts = param_count(model)
-    assert counts["backbone"] == cfg.n_layers * block
-    assert counts["embedding"] == cfg.vocab * h
     head = block + h + h * cfg.vocab
-    assert counts["exits"] == [head, head]
-    assert counts["total"] == sum([counts["embedding"], counts["backbone"],
-                                   *counts["exits"]])
+    assert param_count(model) == cfg.vocab * h + cfg.n_layers * block + 2 * head
 
 
 def test_param_count_zero_layer_degenerate():
     cfg = FamilyConfig(n_layers=0, hidden=8, q_heads=2, kv_heads=1, vocab=13,
                        ctx_len=4, exit_depths=(0,), branch_blocks=(0,))
     model = init_model(cfg, seed=16)
-    counts = param_count(model)
-    assert counts["backbone"] == 0
-    assert counts["total"] == 13 * 8 + (8 + 8 * 13)  # embedding + norm + head
+    assert param_count(model) == 13 * 8 + (8 + 8 * 13)  # embedding + norm + head
     logits = forward_branch(model, np.array([[1, 2]]), 0)
     assert logits.data.shape == (1, 2, 13)
 

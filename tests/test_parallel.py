@@ -126,7 +126,7 @@ def test_worker_errors_surface_as_the_serial_code_raises_them(where):
     n_windows = EVAL_BATCH + 2 * MIN
     ids = np.random.default_rng(1).integers(0, cfg.vocab, (n_windows, cfg.ctx_len))
     ids[where, -1] = cfg.vocab
-    calls = {"eval": lambda: branch_nll(model, ids.reshape(-1), 1),
+    calls = {"eval": lambda: branch_nll(model, ids.reshape(-1), [1]),
              "calibration": lambda: capture_activations(model, ids, scope=lambda n: True)}
     for fn in calls.values():
         serial = _raised(fn, 1)

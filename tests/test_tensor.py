@@ -10,7 +10,7 @@ from familykit.errors import (DegenerateBatchError, GraphError, InputError, Shap
 from familykit.tensor import (Tensor, add, attention, backward, causal_mask, cross_entropy,
                               embedding, k_masked_softmax, k_matmul, k_softmax,
                               matmul, masked_softmax, mul, reshape, rmsnorm, rope,
-                              rope_tables, silu)
+                              rope_tables, scale, silu)
 
 
 def rand(shape, seed=0, dtype=np.float32):
@@ -426,7 +426,7 @@ def test_attention_matches_composed_ops_bitwise(t):
         else:
             qh = reshape(transpose(ts[0], (0, 2, 1, 3)), (b, 2, 2 * t, dh))
             kh, vh = (pad_rows(transpose(x, (0, 2, 1, 3)), 64) for x in ts[1:])
-            scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * 0.35
+            scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 0.35)
             ctx = matmul(masked_softmax(scores, np.concatenate([allowed] * 2)), vh)
             out = transpose(reshape(ctx, (b, hq, t, dh)), (0, 2, 1, 3))
         backward(sum_all(mul(out, Tensor(g))))

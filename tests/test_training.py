@@ -28,20 +28,25 @@ from familykit.training import (LambdaSchedule, TrainConfig, TrainState, joint_l
 # joint loss
 # ---------------------------------------------------------------------------
 
+def _scalars(values) -> list[Tensor]:
+    """Branch losses as `train_step` passes them: float64 scalar Tensors."""
+    return [Tensor(v, dtype=np.float64) for v in values]
+
+
 def test_joint_loss_main_branch_only():
-    losses = [2.5, 1.25, 0.75]
+    losses = _scalars([2.5, 1.25, 0.75])
     assert float(joint_loss(losses, [0.0, 0.0, 1.0]).data) == 0.75
 
 
 def test_joint_loss_hand_case():
-    assert float(joint_loss([2.0, 3.0], [1.0, 1.0]).data) == 5.0
+    assert float(joint_loss(_scalars([2.0, 3.0]), [1.0, 1.0]).data) == 5.0
 
 
 def test_joint_loss_dot_product_oracle():
     rng = np.random.default_rng(0)
     losses = rng.uniform(0.1, 9.0, 3)
     weights = rng.uniform(0.0, 2.0, 3)
-    ours = float(joint_loss(list(losses), list(weights)).data)
+    ours = float(joint_loss(_scalars(losses), list(weights)).data)
     oracle = float(np.dot(losses.astype(np.float64), weights.astype(np.float64)))
     assert abs(ours - oracle) <= 1e-12 * abs(oracle)
 
@@ -51,14 +56,19 @@ def test_joint_loss_dot_product_oracle():
        st.floats(0.125, 8))
 def test_joint_loss_linearity(losses, alpha):
     weights = [1.0] * len(losses)
-    a = float(joint_loss(losses, [alpha * w for w in weights]).data)
-    b = alpha * float(joint_loss(losses, weights).data)
+    a = float(joint_loss(_scalars(losses), [alpha * w for w in weights]).data)
+    b = alpha * float(joint_loss(_scalars(losses), weights).data)
     assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+
+def test_joint_loss_rejects_float32_losses():
+    with pytest.raises(ConfigError):
+        joint_loss([Tensor(1.0)], [1.0])
 
 
 def test_joint_loss_length_mismatch():
     with pytest.raises(ConfigError):
-        joint_loss([1.0, 2.0], [1.0])
+        joint_loss(_scalars([1.0, 2.0]), [1.0])
 
 
 # ---------------------------------------------------------------------------
